@@ -147,7 +147,7 @@ class KcasDomain {
   }
 
   /// Stage a version-word change. Identical semantics; flagged so the HTM
-  /// fast path can write version words before data words.
+  /// fast path can write version words around the data words.
   void addVerEntry(AtomicWord* addr, word_t oldEnc, word_t newEnc) {
     addEntryImpl(addr, oldEnc, newEnc, /*isVersionWord=*/true);
   }

@@ -112,6 +112,10 @@ class McmsBst {
         auto& ptrToChange =
             (curr == parent->left.load()) ? parent->left : parent->right;
         cmp(parent->ver, parentVer);
+        // A concurrent two-child erase may have promoted another key into
+        // curr since the search; it bumps curr's version, but currVer was
+        // read after the search, so the key itself must be compared.
+        cmp(curr->key, key);
         if (childToKeep == nullptr) {
           cmp(curr->left, static_cast<Node*>(nullptr));
           cmp(curr->right, static_cast<Node*>(nullptr));
@@ -145,6 +149,8 @@ class McmsBst {
         auto& ptrToChange = (succP->right.load() == succ) ? succP->right
                                                           : succP->left;
         cmp(succ->left, static_cast<Node*>(nullptr));
+        // An insert below succ swaps succ->right without a version bump.
+        cmp(succ->right, succR);
         swap(ptrToChange, succ, succR);
         const V currVal = curr->val;
         const V succVal = succ->val;

@@ -93,11 +93,11 @@ void add(casword<T>& w, T oldV, T newV) {
   domain().addEntry(w.addr(), detail::encode(oldV), detail::encode(newV));
 }
 
-/// Stage a *version word* change. Semantically identical to add(); version
-/// entries are additionally written first by the HTM fast path so that
-/// concurrent validated readers racing an emulated transaction always
-/// observe the version bump before any data write (see docs/ARCHITECTURE.md,
-/// "HTM emulation").
+/// Stage a *version word* change. Semantically identical to add(); the HTM
+/// fast path additionally writes version entries around the data writes
+/// (marked before them, new after them) so that concurrent validated
+/// readers racing an emulated transaction never validate a torn state (see
+/// docs/ARCHITECTURE.md, "HTM emulation").
 inline void addVer(casword<Version>& w, Version oldV, Version newV) {
   domain().addVerEntry(w.addr(), detail::encode(oldV), detail::encode(newV));
 }
@@ -291,10 +291,21 @@ inline htm::Abort attempt(bool withValidation) {
       tx.abort(k::isDescriptor(cur) ? htm::Abort::kDescriptor
                                     : htm::Abort::kOld);
     });
-    // Write new values (lines 11-13); version words first so concurrent
-    // validated readers racing the emulated transaction fail validation
-    // rather than observing a torn state.
-    for (const bool versionPass : {true, false}) {
+    // Write new values (lines 11-13). Under RTM the stores commit at once;
+    // the emulation makes them visible one by one, so it brackets the data
+    // stores: first every version word takes its old value marked, which no
+    // visited version can validate against, then the data words, then the
+    // new versions. A reader that records a new version therefore sees
+    // every data store after it, and one that reads data mid-transaction
+    // holds an old or marked version and fails validation.
+    dom.forEachStagedEntry([&](k::AtomicWord* addr, k::word_t oldEnc,
+                               k::word_t, bool isVer) {
+      if (isVer) {
+        addr->store(k::encodeVal(k::decodeVal(oldEnc) | 1),
+                    std::memory_order_release);
+      }
+    });
+    for (const bool versionPass : {false, true}) {
       dom.forEachStagedEntry([&](k::AtomicWord* addr, k::word_t,
                                  k::word_t newEnc, bool isVer) {
         if (isVer == versionPass) {

@@ -143,4 +143,18 @@ auto atomicallyImpl(Tm& tm, Body&& body) {
   }
 }
 
+/// Runs `body` as an elastic transaction on a TM that offers one
+/// (Elastic::atomicallyElastic) and as an ordinary transaction on the rest.
+/// The TM trees run every operation through it: their searches only need
+/// consecutive reads to be consistent, and an update hardens into an
+/// ordinary transaction at its first write.
+template <typename Tm, typename Body>
+auto elasticAtomically(Tm& tm, Body&& body) {
+  if constexpr (requires { tm.atomicallyElastic(body); }) {
+    return tm.atomicallyElastic(std::forward<Body>(body));
+  } else {
+    return tm.atomically(std::forward<Body>(body));
+  }
+}
+
 }  // namespace pathcas::stm

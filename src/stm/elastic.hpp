@@ -2,6 +2,13 @@
 // the substrate of the paper's §5.2 comparison (`ext-bst-elastic`, the
 // "speculation-friendly" tree).
 //
+// Elasticity is chosen per transaction, as in the original design:
+// atomically() runs an ordinary TL2-style transaction (every read checked
+// against the start snapshot, so a read-only transaction sees one consistent
+// state), and atomicallyElastic() runs an elastic one. The TM trees run their
+// operations through stm::elasticAtomically() (common.hpp), which picks the
+// elastic form here and the ordinary one on every other TM.
+//
 // An elastic transaction behaves like a sequence of short sub-transactions:
 // while the transaction has not written ("elastic phase"), each read only
 // enforces consistency with a sliding window of the most recent kWindow
@@ -89,7 +96,7 @@ class Elastic {
       readStripes_.clear();
       writeSet_.clear();
       owned_.clear();
-      elastic_ = true;
+      elastic_ = elasticRequested_;
       windowPos_ = 0;
       window_.fill({nullptr, 0});
       rv_ = tm.clock_.load(std::memory_order_acquire);
@@ -162,9 +169,11 @@ class Elastic {
       owned_.clear();
     }
 
+    friend class Elastic;
     Elastic* tm_ = nullptr;
     std::uint64_t rv_ = 0;
-    bool elastic_ = true;
+    bool elasticRequested_ = false;  // set per atomically*() call
+    bool elastic_ = false;
     int windowPos_ = 0;
     std::array<StripeRead, kWindow> window_{};
     std::vector<StripeRead> readStripes_;
@@ -172,8 +181,19 @@ class Elastic {
     std::vector<Owned> owned_;
   };
 
+  /// An ordinary transaction: a consistent snapshot, read-only or not.
   template <typename Body>
   auto atomically(Body&& body) {
+    myTx().elasticRequested_ = false;
+    return atomicallyImpl(*this, std::forward<Body>(body));
+  }
+
+  /// An elastic transaction: until its first write, only each kWindow
+  /// consecutive reads are kept mutually consistent — enough for a
+  /// hand-over-hand search, not for a multi-location snapshot.
+  template <typename Body>
+  auto atomicallyElastic(Body&& body) {
+    myTx().elasticRequested_ = true;
     return atomicallyImpl(*this, std::forward<Body>(body));
   }
 

@@ -43,7 +43,7 @@ class TmInternalBst {
 
   bool contains(K key) {
     auto guard = ebr_.pin();
-    return tm_.atomically([&](auto& tx) {
+    return elasticAtomically(tm_, [&](auto& tx) {
       int steps = 0;
       Node* cur = tx.read(root_);
       while (cur != nullptr) {
@@ -58,7 +58,7 @@ class TmInternalBst {
 
   std::optional<V> get(K key) {
     auto guard = ebr_.pin();
-    return tm_.atomically([&](auto& tx) -> std::optional<V> {
+    return elasticAtomically(tm_, [&](auto& tx) -> std::optional<V> {
       int steps = 0;
       Node* cur = tx.read(root_);
       while (cur != nullptr) {
@@ -74,7 +74,7 @@ class TmInternalBst {
   bool insert(K key, V val) {
     auto guard = ebr_.pin();
     Node* leaf = new Node(key, val);
-    const bool inserted = tm_.atomically([&](auto& tx) {
+    const bool inserted = elasticAtomically(tm_, [&](auto& tx) {
       int steps = 0;
       Node* cur = tx.read(root_);
       if (cur == nullptr) {
@@ -103,7 +103,7 @@ class TmInternalBst {
   bool erase(K key) {
     auto guard = ebr_.pin();
     Node* removed = nullptr;
-    const bool erased = tm_.atomically([&](auto& tx) {
+    const bool erased = elasticAtomically(tm_, [&](auto& tx) {
       removed = nullptr;
       int steps = 0;
       Node* parent = nullptr;

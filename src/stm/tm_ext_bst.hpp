@@ -52,7 +52,7 @@ class TmExternalBst {
   bool contains(K key) {
     PATHCAS_DCHECK(key < kInf1);
     auto guard = ebr_.pin();
-    return tm_.atomically([&](auto& tx) {
+    return elasticAtomically(tm_, [&](auto& tx) {
       int steps = 0;
       Node* leaf = root_;
       Node* next = tx.read(leaf->left);
@@ -71,7 +71,7 @@ class TmExternalBst {
     auto guard = ebr_.pin();
     Node* newLeaf = new Node(key, val);
     Node* newInternal = new Node(K{}, V{});
-    const bool inserted = tm_.atomically([&](auto& tx) {
+    const bool inserted = elasticAtomically(tm_, [&](auto& tx) {
       int steps = 0;
       Node* parent = root_;
       Node* leaf = tx.read(parent->left);
@@ -113,7 +113,7 @@ class TmExternalBst {
     auto guard = ebr_.pin();
     Node* removedLeaf = nullptr;
     Node* removedParent = nullptr;
-    const bool erased = tm_.atomically([&](auto& tx) {
+    const bool erased = elasticAtomically(tm_, [&](auto& tx) {
       removedLeaf = removedParent = nullptr;
       int steps = 0;
       Node* gparent = nullptr;

@@ -114,7 +114,7 @@ class DynConnPathCas {
     auto guard = ebr_.pin();
     if (v == w) return true;
     for (;;) {
-      start();
+      beginAttempt();
       ListNode* const mv = walkToMin(self(v));
       ListNode* const mw = walkToMin(self(w));
       if (validate()) return mv == mw;
@@ -127,7 +127,7 @@ class DynConnPathCas {
     PATHCAS_CHECK(v != w);
     auto guard = ebr_.pin();
     for (;;) {
-      start();
+      beginAttempt();
       Splice sv, sw;
       surveyTour(self(v), sv);
       surveyTour(self(w), sw);
@@ -187,7 +187,7 @@ class DynConnPathCas {
     PATHCAS_CHECK(v != w);
     auto guard = ebr_.pin();
     for (;;) {
-      start();
+      beginAttempt();
       // Locate the edge in v's adjacency list (visiting entries).
       AdjFind fv = findAdj(v, w);
       if (fv.node == nullptr) {
@@ -209,7 +209,7 @@ class DynConnPathCas {
       for (;;) {
         ListNode* nx = cur->next;
         if (nx == nullptr) break;
-        visit(nx);
+        visitTour(nx);
         if (nx == vwNode || nx == wvNode) {
           (first == nullptr ? first : second) = nx;
         }
@@ -312,14 +312,27 @@ class DynConnPathCas {
   Vertex& vertex(int v) { return vertices_[static_cast<std::size_t>(v)]; }
   ListNode* self(int v) { return vertex(v).self; }
 
+  /// start() for one attempt of an operation: also forgets the versions
+  /// visitTour() recorded for the previous attempt.
+  static void beginAttempt() {
+    start();
+    visitedScratch().clear();
+  }
+
+  /// visit() for tour nodes, also recording the version observed, so that
+  /// flushBumps() stages each bump against it.
+  static void visitTour(ListNode* n) {
+    visitedScratch().push_back({n, visit(n)});
+  }
+
   /// Walk prev pointers to the minimum sentinel, visiting every node.
   ListNode* walkToMin(ListNode* from) {
     ListNode* cur = from;
-    visit(cur);
+    visitTour(cur);
     for (;;) {
       ListNode* p = cur->prev;
       if (p == nullptr) return cur;
-      visit(p);
+      visitTour(p);
       cur = p;
     }
   }
@@ -333,11 +346,11 @@ class DynConnPathCas {
     // Forward from self to the max sentinel.
     ListNode* cur = selfNode;
     ListNode* firstAfter = cur->next;
-    visit(firstAfter);
+    visitTour(firstAfter);
     cur = firstAfter;
     while (cur->next.load() != nullptr) {
       ListNode* nx = cur->next;
-      visit(nx);
+      visitTour(nx);
       cur = nx;
     }
     out.smax = cur;
@@ -365,6 +378,14 @@ class DynConnPathCas {
     static thread_local std::vector<ListNode*> f;
     return f;
   }
+  struct Visited {
+    ListNode* node;
+    Version ver;
+  };
+  static std::vector<Visited>& visitedScratch() {
+    static thread_local std::vector<Visited> v;
+    return v;
+  }
 
   static void beginStaging(std::initializer_list<ListNode*> freshNodes) {
     bumpScratch().clear();
@@ -385,18 +406,29 @@ class DynConnPathCas {
     }
     bumpScratch().push_back({n, mark});
   }
-  /// Emit one version entry per touched node. Uses the freshest logical
-  /// version (the node was visited earlier in this op; any interleaving
-  /// change fails the vexec anyway).
+  /// Emit one version entry per touched node, expecting the version first
+  /// observed when the node was visited. It must be that one, not a fresh
+  /// load: vexec does not validate a visited version word that the operation
+  /// itself locks as an entry (kcas.hpp validateDesc), so the entry's old
+  /// value is the only check that the node is unchanged since this
+  /// operation read its links. A node the traversal did not visit can only
+  /// come from a torn survey, which a visited version rejects.
   void flushBumps() {
     for (const auto& b : bumpScratch()) {
-      const Version ver = b.node->ver.load();
+      const Version ver = visitedVersion(b.node);
       if (isMarked(ver)) {  // already deleted: poison the op so vexec fails
         addVer(b.node->ver, ver + 2, ver);
         continue;
       }
       addVer(b.node->ver, ver, b.mark ? verMark(ver) : verBump(ver));
     }
+  }
+
+  static Version visitedVersion(ListNode* n) {
+    for (const auto& v : visitedScratch()) {
+      if (v.node == n) return v.ver;
+    }
+    return n->ver.load();
   }
 
   /// Stage a->next = b and b->prev = a (with old values read now).

@@ -10,10 +10,13 @@
 //
 // Info records, replaced leaves and unlinked internal nodes are reclaimed
 // through EBR into type-segregated NodePools (one for Nodes, one for Info
-// records) and recycled; flag words hold stale (never-dereferenced) Info
-// pointers in the CLEAN state, exactly as in the original algorithm —
-// recycling is safe for the same reason deletion was: by the time a slot is
-// reused, no thread can act on a stale reference to it.
+// records) and recycled. A flag word keeps its last Info pointer in the
+// CLEAN state, exactly as in the original algorithm, and the flag and mark
+// CASes expect that value; they are ABA-free only while the record cannot
+// be reused. So a record is retired not when its operation finishes but
+// when a CAS replaces its CLEAN word: every thread that read the word is
+// then pinned from before the retirement, and the slot is not reused while
+// it might still CAS against it.
 #pragma once
 
 #include <atomic>
@@ -43,7 +46,6 @@ class EllenBst {
     Node* newInternal = nullptr;
     Node* l = nullptr;
     std::uint64_t pupdate = 0;
-    std::atomic<bool> retired{false};  // first finisher retires exactly once
   };
 
   struct Node {
@@ -70,7 +72,10 @@ class EllenBst {
   EllenBst(const EllenBst&) = delete;
   EllenBst& operator=(const EllenBst&) = delete;
 
-  // Quiescent-teardown exception: direct recycle, no EBR needed.
+  // Quiescent-teardown exception: direct recycle, no EBR needed. Each record
+  // still named by a reachable node's flag word is recycled with that node
+  // (no reachable node shares it: a delete's record also sits in its
+  // removed parent, which is unreachable once the delete completed).
   ~EllenBst() { freeSubtree(root_); }
 
   bool contains(K key) {
@@ -112,6 +117,7 @@ class EllenBst {
       std::uint64_t expected = s.pupdate;
       if (s.p->update.compare_exchange_strong(expected,
                                               pack(op, kIFlag))) {
+        retireReplaced(s.pupdate);
         helpInsert(op);
         return true;
       }
@@ -146,6 +152,7 @@ class EllenBst {
       std::uint64_t expected = s.gpupdate;
       if (s.gp->update.compare_exchange_strong(expected,
                                                pack(op, kDFlag))) {
+        retireReplaced(s.gpupdate);
         if (helpDelete(op)) return true;
       } else {
         help(expected);
@@ -252,28 +259,26 @@ class EllenBst {
     casChild(op->p, op->l, op->newInternal);
     std::uint64_t expected = pack(op, kIFlag);
     if (op->p->update.compare_exchange_strong(expected, pack(op, kClean))) {
-      // We finished the operation: retire the replaced leaf and the record.
-      retireOnce(op, [&] {
-        ebr_.retire(op->l, nodePool_);
-        ebr_.retire(op, infoPool_);
-      });
+      // We finished the operation: retire the replaced leaf. The record
+      // stays in p's CLEAN word until the next flag replaces it.
+      ebr_.retire(op->l, nodePool_);
     }
   }
 
   bool helpDelete(Info* op) {
     std::uint64_t expected = op->pupdate;
     const std::uint64_t marked = pack(op, kMark);
-    if (op->p->update.compare_exchange_strong(expected, marked) ||
-        expected == marked) {
+    const bool markedNow =
+        op->p->update.compare_exchange_strong(expected, marked);
+    if (markedNow) retireReplaced(op->pupdate);
+    if (markedNow || expected == marked) {
       helpMarked(op);
       return true;
     }
     help(op->p->update.load(std::memory_order_acquire));
+    // Backtrack. The record stays in gp's CLEAN word.
     std::uint64_t flagged = pack(op, kDFlag);
-    if (op->gp->update.compare_exchange_strong(flagged, pack(op, kClean))) {
-      // Backtracked: only the record.
-      retireOnce(op, [&] { ebr_.retire(op, infoPool_); });
-    }
+    op->gp->update.compare_exchange_strong(flagged, pack(op, kClean));
     return false;
   }
 
@@ -289,18 +294,16 @@ class EllenBst {
     child.compare_exchange_strong(expected, other);
     std::uint64_t flagged = pack(op, kDFlag);
     if (op->gp->update.compare_exchange_strong(flagged, pack(op, kClean))) {
-      retireOnce(op, [&] {
-        ebr_.retire(op->p, nodePool_);
-        ebr_.retire(op->l, nodePool_);
-        ebr_.retire(op, infoPool_);
-      });
+      // The record stays in gp's CLEAN word (and in p, now unreachable).
+      ebr_.retire(op->p, nodePool_);
+      ebr_.retire(op->l, nodePool_);
     }
   }
 
-  template <typename F>
-  static void retireOnce(Info* op, F&& f) {
-    bool expected = false;
-    if (op->retired.compare_exchange_strong(expected, true)) f();
+  /// Called by the thread whose flag or mark CAS replaced the CLEAN word
+  /// `u`: that word was the last place a new reader could find its record.
+  void retireReplaced(std::uint64_t u) {
+    if (Info* old = infoOf(u)) ebr_.retire(old, infoPool_);
   }
 
   void depthWalk(Node* n, std::uint64_t depth, std::uint64_t& depthSum,
@@ -354,6 +357,7 @@ class EllenBst {
       freeSubtree(n->left.load());
       freeSubtree(n->right.load());
     }
+    if (Info* info = infoOf(n->update.load())) infoPool_.destroy(info);
     nodePool_.destroy(n);
   }
 

@@ -1,7 +1,8 @@
 // Tests for the type-segregated node pool (recl/pool.hpp) and its
 // integration with EBR: single-thread reuse semantics, cross-thread
 // retire→recycle flow, spill/refill between local caches and global shards,
-// stats accounting, drain under quiescence, and a multi-threaded
+// stats accounting, drain under quiescence, the slab layout of fresh slots
+// (dense stride, huge-page alignment, bounded slack), and a multi-threaded
 // insert/erase churn test asserting retired-node memory is recycled (not
 // leaked) over many EBR epochs.
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 
 #include "recl/ebr.hpp"
 #include "recl/pool.hpp"
+#include "trees/int_avl_pathcas.hpp"
 #include "trees/int_bst_pathcas.hpp"
 #include "util/rand.hpp"
 #include "util/thread_registry.hpp"
@@ -170,9 +172,115 @@ TEST(Pool, DrainUnderQuiescenceReleasesAllFreeMemory) {
   EXPECT_EQ(pool.freeCount(), 0u);
   EXPECT_EQ(pool.footprintBytes(), 0u);
   EXPECT_EQ(pool.stats().drained, 1500u);
+  EXPECT_EQ(pool.stats().slabBytes, 0u);
   // The pool is still usable after a drain.
   TestNode* n = pool.alloc(0, 0);
   pool.destroy(n);
+}
+
+// Fresh slots are carved back to back from slabs: one thread's consecutive
+// fresh allocations sit exactly slotSize() apart. With no other thread
+// cutting runs from the same slab, one run starts where the last ended, so
+// the stride breaks only where a new slab begins — and every slab of the
+// largest size begins on a huge-page boundary.
+TEST(PoolSlabs, FreshSlotsAreDenseAndHugeSlabsAligned) {
+  NodePool<TestNode> pool;
+  constexpr std::size_t kSlot = NodePool<TestNode>::slotSize();
+  static_assert(kSlot == sizeof(TestNode), "slots carry no padding");
+  // The doubling slabs (64 KiB ... 1 MiB) fill about one 2 MiB slab's worth;
+  // this many slots runs well into the third 2 MiB slab.
+  const std::size_t n = 4 * kSlabMaxBytes / kSlot;
+  std::uintptr_t prev = 0;
+  std::uint64_t slabBytes = 0;
+  std::size_t breaks = 0, slabs = 0, hugeSlabs = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto addr = reinterpret_cast<std::uintptr_t>(pool.alloc(i, 0));
+    if (i > 0 && addr == prev + kSlot) {
+      prev = addr;
+      continue;
+    }
+    if (i > 0) ++breaks;
+    // Only here can the allocation have opened a slab; if it did, it
+    // returned that slab's first slot.
+    const std::uint64_t now = pool.stats().slabBytes;
+    if (now != slabBytes) {
+      ++slabs;
+      if (now - slabBytes == kSlabMaxBytes) {
+        ++hugeSlabs;
+        EXPECT_EQ(addr % kSlabMaxBytes, 0u) << "2 MiB slab #" << hugeSlabs;
+      }
+      slabBytes = now;
+    }
+    prev = addr;
+  }
+  EXPECT_EQ(breaks + 1, slabs);  // every break is a slab boundary
+  EXPECT_GE(hugeSlabs, 2u);
+  EXPECT_EQ(pool.stats().fresh, n);
+  EXPECT_EQ(pool.footprintBytes(), n * kSlot);
+  EXPECT_EQ(slabBytes, pool.stats().slabBytes);
+  EXPECT_LE(slabBytes - pool.footprintBytes(), kSlabMaxBytes);
+}
+
+// A slab cannot be released while any slot in it is in use, so a drain with
+// one live node releases nothing — not even the free slots — and the live
+// node stays mapped and intact. Once it is returned, the drain releases all.
+TEST(PoolSlabs, DrainWithALiveNodeReleasesNothing) {
+  NodePool<TestNode> pool;
+  std::vector<TestNode*> nodes;
+  for (int i = 0; i < 1500; ++i)
+    nodes.push_back(pool.alloc(static_cast<std::uint64_t>(i), 7));
+  TestNode* const live = nodes.back();
+  nodes.pop_back();
+  for (auto* n : nodes) pool.destroy(n);
+  const PoolStats before = pool.stats();
+  const std::uint64_t footprint = pool.footprintBytes();
+  ASSERT_GT(before.slabBytes, 0u);
+  pool.drainQuiescent();
+  const PoolStats after = pool.stats();
+  EXPECT_EQ(after.drained, before.drained);
+  EXPECT_EQ(after.slabBytes, before.slabBytes);
+  EXPECT_EQ(pool.footprintBytes(), footprint);
+  EXPECT_EQ(pool.freeCount(), 1499u);
+  EXPECT_EQ(live->a, 1499u);
+  EXPECT_EQ(live->b, 7u);
+  // The free slots are still usable after the no-op drain.
+  TestNode* again = pool.alloc(1, 2);
+  EXPECT_EQ(pool.stats().fresh, before.fresh);
+  pool.destroy(again);
+  pool.destroy(live);
+  pool.drainQuiescent();
+  EXPECT_EQ(pool.footprintBytes(), 0u);
+  EXPECT_EQ(pool.stats().slabBytes, 0u);
+  EXPECT_EQ(pool.stats().drained, 1500u);
+}
+
+// The pool's real memory (its slabs) exceeds the bytes it reports as
+// handed out only by the slack not yet carved: the rest of the current
+// slab, plus the rest of each allocating thread's run.
+TEST(PoolSlabs, SlackAfterAvlPrefillIsBounded) {
+  using Tree = ds::IntAvlPathCas<std::int64_t, std::int64_t>;
+  NodePool<Tree::Node> pool;  // declared before the domain: outlives limbo
+  EbrDomain domain;
+  Tree tree({}, domain, &pool);  // this thread allocates the two sentinels
+  constexpr int kThreads = 3;
+  constexpr std::int64_t kKeys = std::int64_t{1} << 17;
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      ThreadGuard tg;
+      // Interleaved key classes, so the threads grow the tree side by side.
+      for (std::int64_t k = t; k < kKeys; k += kThreads)
+        ASSERT_TRUE(tree.insert((k * 0x9e3779b1) % kKeys, k));
+    });
+  }
+  for (auto& w : workers) w.join();
+  ASSERT_EQ(tree.checkInvariants().size, static_cast<std::uint64_t>(kKeys));
+  const PoolStats s = pool.stats();
+  const std::uint64_t footprint = pool.footprintBytes();
+  EXPECT_EQ(footprint, s.fresh * NodePool<Tree::Node>::slotSize());
+  EXPECT_GE(s.slabBytes, footprint);
+  EXPECT_LE(s.slabBytes - footprint,
+            kSlabMaxBytes + (kThreads + 1) * kRunBytes);
 }
 
 // Multi-threaded insert/erase churn on the PathCAS BST with a dedicated

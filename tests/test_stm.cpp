@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "stm/elastic.hpp"
@@ -162,7 +163,7 @@ TEST(ElasticSpecific, ElasticReadsDropOutOfReadSet) {
   constexpr int kN = 100;
   std::vector<tmword<std::int64_t>> arr(kN);
   for (int i = 0; i < kN; ++i) arr[i].setInitial(i);
-  const auto last = tm.atomically([&](auto& tx) {
+  const auto last = tm.atomicallyElastic([&](auto& tx) {
     std::int64_t v = 0;
     for (int i = 0; i < kN; ++i) v = tx.read(arr[i]);  // elastic traversal
     tx.write(arr[kN - 1], v + 1);                      // harden + commit
@@ -170,6 +171,38 @@ TEST(ElasticSpecific, ElasticReadsDropOutOfReadSet) {
   });
   EXPECT_EQ(last, kN - 1);
   EXPECT_EQ(tmword<std::int64_t>::unpack(arr[kN - 1].raw().load()), kN);
+}
+
+// What elasticity does guarantee a read-only transaction: each pair of
+// consecutive reads is mutually consistent, even while the view slides
+// forward past concurrent commits.
+TEST(ElasticSpecific, ConsecutiveReadsAreMutuallyConsistent) {
+  Elastic tm;
+  tmword<std::int64_t> x(0), y(0);
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    ThreadGuard tg;
+    for (std::int64_t n = 1; !stop.load(std::memory_order_relaxed); ++n) {
+      tm.atomically([&](auto& tx) {
+        tx.write(x, n);
+        tx.write(y, n);
+      });
+    }
+  });
+  int torn = 0;
+  {
+    ThreadGuard tg;
+    for (int iter = 0; iter < 20000; ++iter) {
+      const auto [a, b] = tm.atomicallyElastic([&](auto& tx) {
+        const std::int64_t first = tx.read(x);
+        return std::pair{first, tx.read(y)};
+      });
+      if (a != b) ++torn;
+    }
+  }
+  stop.store(true);
+  writer.join();
+  EXPECT_EQ(torn, 0);
 }
 
 }  // namespace
