@@ -1,6 +1,6 @@
 // Batched & combined commits: how much does amortizing descriptor
 // publication across many logical ops buy, and which mechanism earns it?
-// Three cells, one per toggle, so the JSON artifact attributes the win:
+// Two cells, one per mechanism, so the JSON artifact attributes the win:
 //
 //   wide-descriptor  PathCAS BST/AVL with driver-side update batching
 //                    (TrialConfig.batch ∈ PATHCAS_BENCH_BATCH, default
@@ -14,10 +14,6 @@
 //                    submissions (batch=1): the combiner merges concurrent
 //                    same-shard ops into one wide commit. Rows keyed by
 //                    combine_window × shards.
-//   staging-merge    KCAS-level micro: the k=8 descending-address commit
-//                    shape on KcasDomain with Policy::kStagingMerge on vs
-//                    off (append + one merge vs per-entry shifting insert).
-//                    Synthesized rows (algo kcas-stage-*) at threads=1.
 //
 // Default workload: zipfian:0.99 keys (the acceptance regime — hot runs
 // make batched traversal sharing matter), u100 mix (every op is an update;
@@ -32,7 +28,6 @@
 #include <vector>
 
 #include "bench_helpers.hpp"
-#include "kcas/kcas.hpp"
 
 using namespace pathcas;
 using namespace pathcas::bench;
@@ -105,55 +100,6 @@ void sweepCombine(const std::vector<int>& threads, const TrialConfig& base,
   }
 }
 
-/// Cell 3: staging-merge attribution, below the structures. The k=8
-/// descending-address commit (every shifting insert moves the whole staged
-/// prefix) on the tuned policy with the merge toggle flipped. Emits the same
-/// CSV/JSON rows as the structure cells so the artifact is self-contained.
-template <bool Merge>
-double stagingMicro(const char* algo) {
-  using Dom = k::KcasDomain<64, 64, k::KcasPolicy<true, true, 8, Merge>>;
-  auto* dom = new Dom();  // too large for the stack
-  k::AtomicWord wide[8];
-  for (auto& w : wide) w.store(k::encodeVal(0));
-  const std::uint64_t n = 400000;
-  StopWatch sw;
-  const std::uint64_t c0 = rdtsc();
-  std::uint64_t v = 0;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    dom->begin();
-    for (int j = 7; j >= 0; --j)
-      dom->addEntry(&wide[j], k::encodeVal(v), k::encodeVal(v + 1));
-    if (dom->execute(false) != k::ExecResult::kSucceeded) std::abort();
-    ++v;
-  }
-  const std::uint64_t c1 = rdtsc();
-  const double sec = sw.elapsedSeconds();
-  delete dom;
-
-  TrialConfig cfg;
-  cfg.threads = 1;
-  cfg.keyRange = 8;
-  cfg.mix = "kcas-k8";
-  cfg.batch = 8;
-  TrialResult r{};
-  r.totalOps = n;
-  r.opsOffered = n;  // closed loop: offered == executed, nothing shed
-  r.opsApplied = n;  // the micro submits no window, so every op executes
-  r.minThreadOps = n;
-  r.maxThreadOps = n;
-  r.elapsedSec = sec;
-  r.mops = sec > 0.0 ? static_cast<double>(n) / sec / 1e6 : 0.0;
-  r.mopsApplied = r.mops;
-  r.goodputMops = r.mops;
-  r.cyclesPerOp =
-      n > 0 ? static_cast<double>(c1 - c0) / static_cast<double>(n) : 0.0;
-  r.nsPerOp = n > 0 ? TscCal::toNs(c1 - c0) / static_cast<double>(n) : 0.0;
-  r.keysumOk = true;
-  printBatchCsv("batch_commit", algo, cfg, r);
-  jsonAppendTrial("batch_commit", algo, cfg, r);
-  return r.mops;
-}
-
 }  // namespace
 
 int main() {
@@ -184,10 +130,6 @@ int main() {
   std::map<std::pair<int, int>, double> shBstPeaks, shAvlPeaks;
   sweepCombine<ShardedBstAdapter<>>(threads, base, &shBstPeaks);
   sweepCombine<ShardedAvlAdapter<>>(threads, base, &shAvlPeaks);
-
-  std::printf("-- staging-merge: k=8 descending-address KCAS micro --\n");
-  const double mergeMops = stagingMicro<true>("kcas-stage-merge");
-  const double shiftMops = stagingMicro<false>("kcas-stage-shift");
 
   // Attribution summary: the ratios the acceptance bar and CI read.
   std::printf(
@@ -223,11 +165,6 @@ int main() {
                   row.name, nshards, window, mops / direct->second, mops,
                   direct->second);
     }
-  }
-  if (shiftMops > 0.0) {
-    std::printf("staging-merge    kcas-k8            merge vs shift: %5.2fx "
-                "(%.3f vs %.3f Mops)\n",
-                mergeMops / shiftMops, mergeMops, shiftMops);
   }
   return 0;
 }

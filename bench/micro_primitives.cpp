@@ -64,10 +64,10 @@ void BM_VisitValidateSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_VisitValidateSweep)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 
-// The degenerate-fast-path counters (ISSUE 5): a k=1 exec commits with one
-// CAS (no descriptor publication), a k=1-with-one-visit vexec with one DCSS.
-// Compare against BM_KcasWidthSweep/1 history and bench/ablation_hotpath for
-// the before/after attribution.
+// The degenerate-fast-path counters: a k=1 exec commits with one CAS (no
+// descriptor publication), a k=1-with-one-visit vexec with one DCSS. Compare
+// against BM_KcasWidthSweep/1; the recorded fast-path ablation is in
+// docs/ARCHITECTURE.md ("Commit-path fast paths & memory-order discipline").
 void BM_ExecK1(benchmark::State& state) {
   BenchNode n;
   for (auto _ : state) {

@@ -14,41 +14,32 @@
 // pathcas/pathcas.hpp; this layer exposes owner-side argument staging, the
 // helping machinery, and a plain KCAS (no path) used by the MCMS baseline.
 //
-// ---------------------------------------------------------------------------
-// Commit-path engineering (docs/ARCHITECTURE.md, "Commit-path fast paths &
-// memory-order discipline"). Three orthogonal optimizations, each toggleable
-// through the KcasPolicy template parameter so bench/ablation_hotpath.cpp can
-// attribute the win per optimization:
+// The commit path (docs/ARCHITECTURE.md, "Commit-path fast paths &
+// memory-order discipline") has three parts beyond plain HFP:
 //
-//  * Degenerate fast paths (Policy::kDegenerateFastPaths). A staged op with
-//    exactly one entry and no path commits with a single CAS — no descriptor
-//    publication, no DCSS, nothing a helper could ever observe. One entry
-//    plus one visited version commits with a single DCSS whose guard word is
-//    the visited version (check-version-and-swap is exactly the k=1/p=1
-//    vexec semantic). Contention (a descriptor in the way) falls back to the
-//    general descriptor-based path, preserving lock-freedom.
+//  * Degenerate fast paths. A staged op with exactly one entry and no path
+//    commits with a single CAS — no descriptor publication, nothing a helper
+//    could ever observe. One entry plus one visited version commits with a
+//    single DCSS whose guard word is the visited version (check-version-and-
+//    swap is exactly the k=1/p=1 vexec semantic). Contention (a descriptor
+//    in the way) falls back to the general descriptor-based path, preserving
+//    lock-freedom.
 //
-//  * Fence discipline (Policy::kRelaxedPublication). Descriptor fields are
-//    published with relaxed stores capped by one release fence instead of a
-//    seq_cst seq bump plus per-field release stores; phase-2 unlock CASes
-//    drop from seq_cst to acq_rel. Per-site justifications sit next to each
-//    ordering below — the gist is that the (tid, seq) validation protocol
-//    already makes stale reads harmless, so publication only needs the
-//    minimal release edges the protocol consumes.
+//  * Fence discipline. Descriptor fields are published with relaxed stores
+//    after one release fence, and phase-2 unlock CASes are acq_rel. The
+//    (tid, seq) validation protocol already makes stale reads harmless, so
+//    publication only needs the release edges the protocol consumes; the
+//    justification for each ordering sits next to it below.
 //
-//  * Hot/cold descriptor layout (Policy::kInlineEntries). KcasDesc keeps its
-//    first kInlineEntries entry/path slots in a packed structure-of-arrays
-//    header next to seqState and the counts, with the MCMS-sized remainder
-//    in a cold overflow region, so a helper processing a tree-sized op (k ≤
-//    4) touches a couple of leading cache lines instead of striding an
-//    array-of-structs sized for k = 512. The owner-private Staging area gets
-//    the same split (small ops stay within one page), entries are kept
-//    address-sorted by insertion at addEntry() time (ops stage ≤ 4 entries,
-//    so a shifting insert beats the per-execute std::sort it replaces), and
-//    a thread-local (domain, tid, pointers) cache lets begin/addEntry/visit
-//    skip the ThreadRegistry::tid() resolution and Padded-array indexing on
-//    every call.
-// ---------------------------------------------------------------------------
+//  * Hot/cold layout and allocation-free staging. KcasDesc and the
+//    owner-private Staging keep their first kInline (8) entry/path slots in
+//    a packed header, with the MCMS-sized remainder in a cold overflow
+//    region, so a tree-sized op touches a couple of cache lines. Entries are
+//    kept address-sorted by a shifting insert while an op fits the inline
+//    slots; past them addEntry() appends and execute()/promotePathToEntries()
+//    run one std::sort. No commit calls the allocator. A thread-local
+//    (domain, tid, pointers) cache lets begin/addEntry/visit skip the
+//    ThreadRegistry::tid() resolution and Padded-array indexing.
 //
 // Thread model: any thread calling into this class is registered with
 // ThreadRegistry (registration happens lazily on the first call; worker
@@ -56,16 +47,19 @@
 // most one KCAS operation at a time (the staging area is per-thread), but
 // may help any number of other operations while reading.
 //
-// Ownership/lifetime: KcasDomain::instance() is a process-lifetime singleton
-// whose descriptor tables are statically sized by kMaxThreads — no
-// descriptor is ever heap-allocated or freed. The AtomicWords passed to
-// addEntry()/addPath() are owned by the caller and must remain mapped until
-// no helper can still hold a (tid, seq) reference that resolves to them;
-// data structures guarantee this by retiring nodes through recl::EbrDomain,
-// which recycles each expired node's memory into its owning recl::NodePool
-// (never freeing or overwriting it before the grace period ends). Helpers
-// may therefore dereference a node's words during the whole grace period;
-// after it, the slot may be reused for a new node of the same type.
+// Ownership/lifetime: a domain's descriptor tables are statically sized by
+// kMaxThreads — no descriptor is ever heap-allocated or freed. Structures
+// run on DefaultDomain::instance(), the process-wide domain, unless a
+// k::ScopedDomain (kcas/domain.hpp) selects another one, such as the
+// private domain each recl::DomainSet (one per ShardedMap shard) owns. The
+// AtomicWords passed to addEntry()/addPath() are owned by the caller and
+// must remain mapped until no helper can still hold a (tid, seq) reference
+// that resolves to them; data structures guarantee this by retiring nodes
+// through recl::EbrDomain, which recycles each expired node's memory into
+// its owning recl::NodePool (never freeing or overwriting it before the
+// grace period ends). Helpers may therefore dereference a node's words
+// during the whole grace period; after it, the slot may be reused for a new
+// node of the same type.
 #pragma once
 
 #include <algorithm>
@@ -86,44 +80,18 @@ enum class ExecResult {
   kFailedValidation,  // a visited node changed or was locked (maybe spurious)
 };
 
-/// Compile-time switches for the commit-path optimizations (see the header
-/// comment). Each one is independently toggleable so the ablation benchmark
-/// can attribute wins; production code uses TunedPolicy.
-template <bool DegenerateFastPaths, bool RelaxedPublication, int InlineSlots,
-          bool StagingMerge = true>
-struct KcasPolicy {
-  /// k=1 ops bypass descriptor publication (plain CAS / single DCSS).
-  static constexpr bool kDegenerateFastPaths = DegenerateFastPaths;
-  /// Relaxed field publication capped by one release fence; acq_rel unlocks.
-  static constexpr bool kRelaxedPublication = RelaxedPublication;
-  /// Entry/path slots kept inline in the hot descriptor header (0 = all
-  /// slots live in the cold region, approximating the pre-split layout).
-  static constexpr int kInlineEntries = InlineSlots;
-  /// Sorted staging via append + one tail-merge past k<=4 instead of a
-  /// per-entry shifting insert (quadratic for 5..kInline-entry ops) or a
-  /// full per-execute sort. Off reproduces the PR 5 staging exactly.
-  static constexpr bool kStagingMerge = StagingMerge;
-};
-
-/// Everything on: what DefaultDomain (and therefore every structure) runs.
-using TunedPolicy = KcasPolicy<true, true, 8>;
-/// Everything off: the pre-optimization engine, kept as the ablation
-/// baseline (seq_cst publication, descriptor for every op, flat layout,
-/// per-execute full sort).
-using LegacyPolicy = KcasPolicy<false, false, 0, false>;
-
 // Defaults sized for the widest users: MCMS-style full-path compares need
 // ~2 entries per tree level; PathCAS visits need one path slot per level.
 // Exceeding either bound is a checked error (the paper's footnote 2:
 // over-allocate, or use structures with a known practical height bound).
-template <int MaxEntries = 512, int MaxPath = 512, class Policy = TunedPolicy>
+template <int MaxEntries = 512, int MaxPath = 512>
 class KcasDomain {
  public:
   static constexpr int kMaxEntries = MaxEntries;
   static constexpr int kMaxPath = MaxPath;
 
-  /// Process-wide domain. All data structures in this repo share it (one
-  /// operation per thread at a time, as in the paper's implementation).
+  /// Process-wide domain: what every structure uses unless a
+  /// k::ScopedDomain selects another (header comment).
   static KcasDomain& instance() {
     static KcasDomain domain;
     return domain;
@@ -138,7 +106,7 @@ class KcasDomain {
     Staging& st = *slots().st;
     st.numEntries = 0;
     st.numPath = 0;
-    st.sortedPrefix = 0;
+    st.sorted = true;
   }
 
   /// Stage ⟨addr, old, new⟩ (already-encoded words).
@@ -175,42 +143,47 @@ class KcasDomain {
   /// Strong vexec support (§3.5): convert every staged ⟨node, ver⟩ pair into
   /// a ⟨node.ver, v, v⟩ entry (skipping version words that already have a
   /// real entry, e.g. a visited parent whose version is being incremented,
-  /// and duplicate visits of the same node — first observation wins, as
-  /// before), then clear the path. The subsequent execute(false) locks the
+  /// and duplicate visits of the same node — the first observation wins),
+  /// then clear the path. The subsequent execute(false) locks the
   /// versions instead of validating them.
   ///
-  /// Implementation is a sorted merge: stable-sort a copy of the path,
-  /// dedup adjacent slots, and merge it with the (sorted) entries —
-  /// O((n+p)·log) overall, replacing the O(p·n + p²) scans this used to do,
-  /// so PATHCAS_CHECKed debug builds are no longer quadratic in path length
-  /// and a kMaxVisited-wide scan's escalation stays cheap.
+  /// Implementation is a sorted merge: sort a copy of the path by (address,
+  /// visit order), keep the first slot of each address, and merge it with
+  /// the (sorted) entries — O((n+p)·log) overall and allocation-free, so a
+  /// kMaxVisited-wide scan's escalation stays cheap.
   void promotePathToEntries() {
     Staging& st = *slots().st;
-    if (st.sortedPrefix != st.numEntries) sortEntries(st);
+    if (!st.sorted) sortEntries(st);
+    struct Visit {
+      AtomicWord* addr;
+      int order;
+      word_t expectedEnc;
+    };
     const int np = st.numPath;
-    StagedPath paths[MaxPath];
-    for (int i = 0; i < np; ++i) paths[i] = st.pathAt(i);
-    std::stable_sort(paths, paths + np,
-                     [](const StagedPath& a, const StagedPath& b) {
-                       return a.addr < b.addr;
-                     });
+    Visit visits[MaxPath];
+    for (int i = 0; i < np; ++i) {
+      const StagedPath& p = st.pathAt(i);
+      visits[i] = Visit{p.addr, i, p.expectedEnc};
+    }
+    std::sort(visits, visits + np, [](const Visit& a, const Visit& b) {
+      return a.addr != b.addr ? a.addr < b.addr : a.order < b.order;
+    });
     const int n = st.numEntries;
     StagedEntry merged[MaxEntries];
     int out = 0, ei = 0;
     for (int i = 0; i < np; ++i) {
-      if (i > 0 && paths[i].addr == paths[i - 1].addr) continue;  // revisit
-      while (ei < n && st.entry(ei).addr < paths[i].addr)
+      if (i > 0 && visits[i].addr == visits[i - 1].addr) continue;  // revisit
+      while (ei < n && st.entry(ei).addr < visits[i].addr)
         merged[out++] = st.entry(ei++);
-      if (ei < n && st.entry(ei).addr == paths[i].addr) continue;  // real entry
+      if (ei < n && st.entry(ei).addr == visits[i].addr) continue;  // real entry
       PATHCAS_CHECK(out < MaxEntries - (n - ei));
-      merged[out++] = StagedEntry{paths[i].addr, paths[i].expectedEnc,
-                                  paths[i].expectedEnc,
+      merged[out++] = StagedEntry{visits[i].addr, visits[i].expectedEnc,
+                                  visits[i].expectedEnc,
                                   /*isVersionWord=*/true};
     }
     while (ei < n) merged[out++] = st.entry(ei++);
     for (int i = 0; i < out; ++i) st.entry(i) = merged[i];
     st.numEntries = out;
-    st.sortedPrefix = out;
     st.numPath = 0;
   }
 
@@ -246,8 +219,9 @@ class KcasDomain {
   }
 
   /// Iterate the staged operation (HTM fast path). f(addr, old, new, isVer).
-  /// Entries are visited in address order (the sorted-staging invariant),
-  /// which the fast path's two write passes are insensitive to.
+  /// Entries come in staging order, which is address order up to kInline
+  /// entries and after execute() or promotePathToEntries(); the fast path's
+  /// write passes are insensitive to it.
   template <typename F>
   void forEachStagedEntry(F&& f) {
     Staging& st = *slots().st;
@@ -284,26 +258,24 @@ class KcasDomain {
     Staging& st = *s.st;
     const int nPath = withValidation ? st.numPath : 0;
 
-    if constexpr (Policy::kDegenerateFastPaths) {
-      // Degenerate shapes commit without publishing a descriptor. Safe
-      // because nothing partial is ever observable: a single CAS (or single
-      // DCSS) is atomic on its own, so there is no helper protocol to
-      // participate in and no state a concurrent thread could complete.
-      if (st.numEntries == 0) {
-        // Validation-only op (or a no-op). A single read pass over the path
-        // is exactly what the general path's validateDesc would do — it
-        // takes no locks when there are no entries.
-        if (nPath == 0) return ExecResult::kSucceeded;
-        return validateStagedOn(st) ? ExecResult::kSucceeded
-                                    : ExecResult::kFailedValidation;
-      }
-      if (st.numEntries == 1) {
-        if (nPath == 0) return execK1(st);
-        if (nPath == 1) {
-          ExecResult r;
-          if (execK1Path(st, r)) return r;
-          // Contention budget exhausted: resolve through the general path.
-        }
+    // Degenerate shapes commit without publishing a descriptor. Safe
+    // because nothing partial is ever observable: a single CAS (or single
+    // DCSS) is atomic on its own, so there is no helper protocol to
+    // participate in and no state a concurrent thread could complete.
+    if (st.numEntries == 0) {
+      // Validation-only op (or a no-op). A single read pass over the path
+      // is exactly what the general path's validateDesc would do — it
+      // takes no locks when there are no entries.
+      if (nPath == 0) return ExecResult::kSucceeded;
+      return validateStagedOn(st) ? ExecResult::kSucceeded
+                                  : ExecResult::kFailedValidation;
+    }
+    if (st.numEntries == 1) {
+      if (nPath == 0) return execK1(st);
+      if (nPath == 1) {
+        ExecResult r;
+        if (execK1Path(st, r)) return r;
+        // Contention budget exhausted: resolve through the general path.
       }
     }
 
@@ -311,40 +283,32 @@ class KcasDomain {
 
     // Entries must be address-sorted before publication: the lock-freedom
     // argument (appendix C) relies on every helper locking addresses in one
-    // global order. Small ops maintained the invariant at addEntry time;
-    // append-mode staging restores it here, once (a tail-sort + merge with
-    // the sorted prefix, or the legacy full sort — see sortEntries).
-    if (st.sortedPrefix != st.numEntries) sortEntries(st);
+    // global order. Ops within the inline slots were kept sorted at
+    // addEntry time; wider ops are sorted here, once.
+    if (!st.sorted) sortEntries(st);
 
     // Reuse protocol (Arbel-Raviv & Brown): advance seqState FIRST — any
     // helper of the previous operation that later reads a freshly written
     // field is forced to also observe the new seq and discard it — then
     // publish the fields, then hand out the reference via phase-1 installs.
     //
-    // Ordering, tuned flavour: the seq bump itself is relaxed and the field
-    // stores are relaxed; the single release fence between them is what
-    // carries both required edges. (1) Stale-helper safety: a helper's
-    // acquire load that observes any post-fence field store synchronizes
-    // with the fence (fence-atomic synchronization), making the pre-fence
-    // seq bump visible to its readField freshness re-check. (2) Fresh-helper
-    // safety: a helper only learns `ref` from a phase-1 install CAS, which
-    // is seq_cst and sequenced after every field store, so all fields (and
-    // the undecided seqState the DCSS guard compares) are visible to it.
-    // Nothing here needs seq_cst: no thread can act on this operation until
-    // the install publishes it.
+    // Ordering: the seq bump itself is relaxed and the field stores are
+    // relaxed; the single release fence between them is what carries both
+    // required edges. (1) Stale-helper safety: a helper's acquire load that
+    // observes any post-fence field store synchronizes with the fence
+    // (fence-atomic synchronization), making the pre-fence seq bump visible
+    // to its readField freshness re-check. (2) Fresh-helper safety: a helper
+    // only learns `ref` from a phase-1 install CAS, which is seq_cst and
+    // sequenced after every field store, so all fields (and the undecided
+    // seqState the DCSS guard compares) are visible to it. Nothing here
+    // needs seq_cst: no thread can act on this operation until the install
+    // publishes it.
     const std::uint64_t seq =
         seqOf(des.seqState.load(std::memory_order_relaxed)) + 1;
     des.seqState.store(packSeqState(seq, State::kUndecided),
-                       Policy::kRelaxedPublication ? std::memory_order_relaxed
-                                                   : std::memory_order_seq_cst);
-    if constexpr (Policy::kRelaxedPublication) {
-      std::atomic_thread_fence(std::memory_order_release);
-    }
-    // Legacy flavour: per-field release stores (each one redundantly carries
-    // the edge the single fence provides above).
-    constexpr std::memory_order po = Policy::kRelaxedPublication
-                                         ? std::memory_order_relaxed
-                                         : std::memory_order_release;
+                       std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_release);
+    constexpr std::memory_order po = std::memory_order_relaxed;
     for (int i = 0; i < st.numEntries; ++i) {
       const StagedEntry& e = st.entry(i);
       des.entryAddr(i).store(reinterpret_cast<word_t>(e.addr), po);
@@ -422,14 +386,9 @@ class KcasDomain {
     const std::uint64_t seq =
         seqOf(d.seqStatus.load(std::memory_order_relaxed)) + 1;
     d.seqStatus.store(packSeqState(seq, State::kUndecided),
-                      Policy::kRelaxedPublication ? std::memory_order_relaxed
-                                                  : std::memory_order_seq_cst);
-    if constexpr (Policy::kRelaxedPublication) {
-      std::atomic_thread_fence(std::memory_order_release);
-    }
-    constexpr std::memory_order po = Policy::kRelaxedPublication
-                                         ? std::memory_order_relaxed
-                                         : std::memory_order_release;
+                      std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_release);
+    constexpr std::memory_order po = std::memory_order_relaxed;
     d.addr1.store(reinterpret_cast<word_t>(a1), po);
     d.exp1.store(e1, po);
     d.addr2.store(reinterpret_cast<word_t>(a2), po);
@@ -470,62 +429,37 @@ class KcasDomain {
     word_t expectedEnc;
   };
 
-  // Inline ("hot") slot count shared by the descriptor and staging layouts.
-  static constexpr int kInline = Policy::kInlineEntries;
-  static constexpr int kHotSlots = kInline > 0 ? kInline : 1;
-  static constexpr int kColdEntrySlots =
-      MaxEntries > kInline ? MaxEntries - kInline : 1;
-  static constexpr int kColdPathSlots =
-      MaxPath > kInline ? MaxPath - kInline : 1;
+  /// Inline ("hot") slot count shared by the descriptor and staging layouts,
+  /// and the widest op staged by shifting insert.
+  static constexpr int kInline = 8;
+  static constexpr int kColdEntries = MaxEntries - kInline;
+  static constexpr int kColdPath = MaxPath - kInline;
+  static_assert(kColdEntries > 0 && kColdPath > 0,
+                "the cold overflow region must hold at least one slot");
 
   /// Owner-private staging area; never read by other threads. Hot/cold
   /// split: a tree-sized op (≤ kInline entries and path slots) lives
   /// entirely in the leading bytes — one or two cache lines, one page —
   /// instead of having its path slots sizeof(entries[MaxEntries]) away.
-  /// Entries [0, sortedPrefix) are address-sorted (addEntryImpl's shifting
-  /// insert maintains it up to kShiftBound entries); anything past the
-  /// prefix was appended out of order, and execute/promote restore the
-  /// full-sorted invariant once per op (sortEntries: with the staging-merge
-  /// policy a tail-sort plus one inplace_merge against the prefix, O(t log
-  /// t + n); legacy a full O(n log n) sort). The sorted invariant is what
-  /// the lock-freedom argument needs (one global locking order) and what
-  /// lets promotePathToEntries and the duplicate-address debug check use
-  /// binary search / a merge instead of O(n²) scans.
+  /// `sorted` says the entries are address-sorted: addEntryImpl keeps them
+  /// so by a shifting insert while they fit the hot slots and clears it
+  /// when it appends past them; execute/promote then sort once. The sorted
+  /// order is what the lock-freedom argument needs (one global locking
+  /// order) and what lets promotePathToEntries merge instead of scanning.
   struct Staging {
     std::int32_t numEntries = 0;
     std::int32_t numPath = 0;
-    std::int32_t sortedPrefix = 0;
-    StagedEntry hotEntries[kHotSlots];
-    StagedPath hotPath[kHotSlots];
-    StagedEntry coldEntries[kColdEntrySlots];
-    StagedPath coldPath[kColdPathSlots];
+    bool sorted = true;
+    StagedEntry hotEntries[kInline];
+    StagedPath hotPath[kInline];
+    StagedEntry coldEntries[kColdEntries];
+    StagedPath coldPath[kColdPath];
 
     StagedEntry& entry(int i) {
-      if constexpr (kInline > 0) {
-        return i < kInline ? hotEntries[i] : coldEntries[i - kInline];
-      } else {
-        return coldEntries[i];
-      }
+      return i < kInline ? hotEntries[i] : coldEntries[i - kInline];
     }
     StagedPath& pathAt(int i) {
-      if constexpr (kInline > 0) {
-        return i < kInline ? hotPath[i] : coldPath[i - kInline];
-      } else {
-        return coldPath[i];
-      }
-    }
-    /// First index whose entry address is >= addr (entries are sorted).
-    int lowerBound(const AtomicWord* addr) {
-      int lo = 0, hi = numEntries;
-      while (lo < hi) {
-        const int mid = (lo + hi) / 2;
-        if (entry(mid).addr < addr) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      return lo;
+      return i < kInline ? hotPath[i] : coldPath[i - kInline];
     }
   };
 
@@ -544,12 +478,12 @@ class KcasDomain {
     std::atomic<word_t> seqState{packSeqState(0, State::kUndecided)};
     std::atomic<std::uint32_t> numEntries{0}, numPath{0};
     // Hot SoA slots.
-    AtomicWord hotAddr[kHotSlots], hotOldv[kHotSlots], hotNewv[kHotSlots];
-    AtomicWord hotPathAddr[kHotSlots], hotPathExp[kHotSlots];
+    AtomicWord hotAddr[kInline], hotOldv[kInline], hotNewv[kInline];
+    AtomicWord hotPathAddr[kInline], hotPathExp[kInline];
     // Cold overflow.
-    AtomicWord coldAddr[kColdEntrySlots], coldOldv[kColdEntrySlots],
-        coldNewv[kColdEntrySlots];
-    AtomicWord coldPathAddr[kColdPathSlots], coldPathExp[kColdPathSlots];
+    AtomicWord coldAddr[kColdEntries], coldOldv[kColdEntries],
+        coldNewv[kColdEntries];
+    AtomicWord coldPathAddr[kColdPath], coldPathExp[kColdPath];
 
     AtomicWord& entryAddr(int i) { return pick(hotAddr, coldAddr, i); }
     AtomicWord& entryOldv(int i) { return pick(hotOldv, coldOldv, i); }
@@ -558,14 +492,8 @@ class KcasDomain {
     AtomicWord& pathExpected(int i) { return pick(hotPathExp, coldPathExp, i); }
 
    private:
-    template <int H, int C>
-    static AtomicWord& pick(AtomicWord (&hot)[H], AtomicWord (&cold)[C],
-                            int i) {
-      if constexpr (kInline > 0) {
-        return i < kInline ? hot[i] : cold[i - kInline];
-      } else {
-        return cold[i];
-      }
+    static AtomicWord& pick(AtomicWord* hot, AtomicWord* cold, int i) {
+      return i < kInline ? hot[i] : cold[i - kInline];
     }
   };
 
@@ -611,67 +539,43 @@ class KcasDomain {
     return s;
   }
 
-  /// Staged ops stay address-sorted by shifting insert up to kShiftBound
-  /// entries; past it staging degrades to plain appends and
-  /// execute()/promote() restore the invariant once. With the staging-merge
-  /// policy the shift bound is 4 — every tree/list/queue op (k ≤ 4) pays a
-  /// tiny shifting insert and NO sort, while wider ops (a mid-size k=5..8
-  /// op, an MCMS compare set, or a batched tree commit appending dozens of
-  /// entries) append in O(1) each and pay one tail-sort + merge at execute.
-  /// Shifting all the way to kInline (the PR 5 behavior, kept as the
-  /// ablation baseline) is quadratic in moves exactly in that 5..8 range.
-  /// With the layout toggle off the legacy bound is 0, i.e. pure
-  /// append+sort.
-  static constexpr int kShiftBound =
-      Policy::kStagingMerge ? (MaxEntries < 4 ? MaxEntries : 4) : kInline;
-
+  /// Ops that fit the hot slots stay address-sorted by a shifting insert
+  /// (most single-key ops do, and shifting beats sorting at that size);
+  /// wider ops (an MCMS compare set, a batched tree commit) append in O(1)
+  /// each and execute()/promote() sort them once.
   void addEntryImpl(AtomicWord* addr, word_t oldEnc, word_t newEnc,
                     bool isVersionWord) {
     Staging& st = *slots().st;
     PATHCAS_CHECK(st.numEntries < MaxEntries);
-    if (st.sortedPrefix != st.numEntries || st.numEntries >= kShiftBound) {
 #ifndef NDEBUG
-      // Debug duplicate scan, linear like the old engine's (the sorted
-      // prefix no longer covers the appended tail).
-      for (int i = 0; i < st.numEntries; ++i)
-        PATHCAS_DCHECK(st.entry(i).addr != addr &&
-                       "address added twice (undefined per the paper)");
+    for (int i = 0; i < st.numEntries; ++i)
+      PATHCAS_DCHECK(st.entry(i).addr != addr &&
+                     "address added twice (undefined per the paper)");
 #endif
-      st.entry(st.numEntries++) = StagedEntry{addr, oldEnc, newEnc,
-                                              isVersionWord};
+    const StagedEntry e{addr, oldEnc, newEnc, isVersionWord};
+    if (st.numEntries >= kInline) {
+      st.entry(st.numEntries++) = e;
+      st.sorted = false;
       return;
     }
-    const int pos = st.lowerBound(addr);
-    PATHCAS_DCHECK(!(pos < st.numEntries && st.entry(pos).addr == addr) &&
-                   "address added twice (undefined per the paper)");
-    for (int j = st.numEntries; j > pos; --j) st.entry(j) = st.entry(j - 1);
-    st.entry(pos) = StagedEntry{addr, oldEnc, newEnc, isVersionWord};
-    ++st.numEntries;
-    ++st.sortedPrefix;
+    // Below kInline entries every entry is hot and the array is sorted.
+    int pos = st.numEntries++;
+    for (; pos > 0 && addr < st.hotEntries[pos - 1].addr; --pos)
+      st.hotEntries[pos] = st.hotEntries[pos - 1];
+    st.hotEntries[pos] = e;
   }
 
-  /// Restore the sorted-entry invariant after append-mode staging. The
-  /// hot/cold split is not contiguous, so work on a flat copy and write
-  /// back. Staging-merge policy: only the appended tail is sorted, then
-  /// merged once with the already-sorted prefix — O(t log t + n) for a
-  /// t-entry tail, which is what makes batch-append staging (one append
-  /// per entry, one merge per commit) cheaper than per-entry shifting.
-  /// Legacy policy: the old engine's full O(n log n) sort.
+  /// Sort the staged entries by address. The hot/cold split is not
+  /// contiguous, so sort a flat copy and write it back.
   static void sortEntries(Staging& st) {
     StagedEntry tmp[MaxEntries];
     const int n = st.numEntries;
     for (int i = 0; i < n; ++i) tmp[i] = st.entry(i);
-    const auto byAddr = [](const StagedEntry& a, const StagedEntry& b) {
+    std::sort(tmp, tmp + n, [](const StagedEntry& a, const StagedEntry& b) {
       return a.addr < b.addr;
-    };
-    if constexpr (Policy::kStagingMerge) {
-      std::sort(tmp + st.sortedPrefix, tmp + n, byAddr);
-      std::inplace_merge(tmp, tmp + st.sortedPrefix, tmp + n, byAddr);
-    } else {
-      std::sort(tmp, tmp + n, byAddr);
-    }
+    });
     for (int i = 0; i < n; ++i) st.entry(i) = tmp[i];
-    st.sortedPrefix = n;
+    st.sorted = true;
   }
 
   static bool validateStagedOn(Staging& st) {
@@ -818,15 +722,12 @@ class KcasDomain {
       succeeded = stateOf(ss) == State::kSucceeded;
     }
     word_t expected = ref;
-    // acq_rel suffices (tuned): the release half publishes nothing beyond
-    // what the install already released, and the swung-in value is either
-    // exp2 (already public) or new2 (a KCAS ref whose fields the owner
-    // released before calling dcss — the helper's acquire of `ref` chains
-    // the edge). Legacy keeps seq_cst.
+    // acq_rel suffices: the release half publishes nothing beyond what the
+    // install already released, and the swung-in value is either exp2
+    // (already public) or new2 (a KCAS ref whose fields the owner released
+    // before calling dcss — the helper's acquire of `ref` chains the edge).
     a2->compare_exchange_strong(expected, succeeded ? n2 : e2,
-                                Policy::kRelaxedPublication
-                                    ? std::memory_order_acq_rel
-                                    : std::memory_order_seq_cst);
+                                std::memory_order_acq_rel);
   }
 
   /// Help a DCSS found in memory via its tagged reference.
@@ -944,15 +845,12 @@ class KcasDomain {
       }
       auto* addr = reinterpret_cast<AtomicWord*>(addrRaw);
       word_t expected = ref;
-      // Unlock CAS. acq_rel suffices (tuned): the release half publishes
-      // the operation's writes to subsequent readers of this word; nothing
-      // after this CAS in program order is part of the protocol, and the
-      // decision the swing depends on was read through the acquire on
-      // seqState above. Seq_cst bought nothing but a fence. Legacy keeps it.
+      // Unlock CAS. acq_rel suffices: the release half publishes the
+      // operation's writes to subsequent readers of this word; nothing after
+      // this CAS in program order is part of the protocol, and the decision
+      // the swing depends on was read through the acquire on seqState above.
       addr->compare_exchange_strong(expected, succeeded ? newv : oldv,
-                                    Policy::kRelaxedPublication
-                                        ? std::memory_order_acq_rel
-                                        : std::memory_order_seq_cst);
+                                    std::memory_order_acq_rel);
     }
     return succeeded ? ExecResult::kSucceeded : ExecResult::kFailedValue;
   }
@@ -987,7 +885,8 @@ class KcasDomain {
   Padded<Staging> staging_[kMaxThreads];
 };
 
-/// The domain all PathCAS data structures in this repository share.
+/// The domain type every PathCAS structure runs on: the process-wide
+/// instance() and each recl::DomainSet's private domain.
 using DefaultDomain = KcasDomain<>;
 
 }  // namespace pathcas::k

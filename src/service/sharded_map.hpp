@@ -46,7 +46,7 @@
 // examined nodes (paper footnote 2) — sharding multiplies the total window
 // capacity by N, another practical win of the partitioning.
 //
-// Flat combining (Config::combineWindow >= 2, or PATHCAS_COMBINE_WINDOW):
+// Flat combining (Config::combineWindow >= 2):
 // every update routes through its shard's combiner. A thread deposits its op
 // in a per-(shard, tid) publication slot and spins; whoever wins the shard's
 // combiner lock gathers up to combineWindow pending ops, merges same-key ops
@@ -77,7 +77,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -114,8 +113,6 @@ class ShardedMap {
     /// Per-shard flat-combining window (header comment). <= 1 (default)
     /// commits every update directly; >= 2 enables combining with at most
     /// this many ops merged per window. Clamped to [0, kMaxCombine].
-    /// The PATHCAS_COMBINE_WINDOW environment variable, when set,
-    /// overrides this value.
     int combineWindow = 0;
     /// Record per-shard combiner queueing (deposit → completion) into a
     /// per-shard histogram, read back via shardSchedP99Ns(): combiner
@@ -135,8 +132,6 @@ class ShardedMap {
       : config_(config), nshards_(nshards), keySpace_(keySpace) {
     PATHCAS_CHECK(nshards >= 1);
     PATHCAS_CHECK(keySpace >= 1);
-    if (const char* env = std::getenv("PATHCAS_COMBINE_WINDOW"))
-      config_.combineWindow = std::atoi(env);
     combineWindow_ = std::clamp(config_.combineWindow, 0, kMaxCombine);
     shards_.reserve(static_cast<std::size_t>(nshards));
     for (int s = 0; s < nshards; ++s) {

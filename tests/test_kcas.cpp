@@ -1,13 +1,17 @@
 // Tests for the KCAS substrate: word encoding, single- and multi-threaded
 // KCAS semantics, helping via readEncoded, the validation phase at the
-// descriptor level, and the degenerate k=1 fast paths (plain-CAS and
-// DCSS-guarded commits) racing descriptor-based operations — including a
-// lin_check.hpp-driven linearizability stress that mixes every commit
-// flavour (fast A, fast B, validation-only, general) on shared words.
+// descriptor level, the staging rule (address order after promotion, first
+// observation of a revisited word, no allocation on the commit path), and
+// the degenerate k=1 fast paths (plain-CAS and DCSS-guarded commits) racing
+// descriptor-based operations — including a lin_check.hpp-driven
+// linearizability stress that mixes every commit flavour (fast A, fast B,
+// validation-only, general) on shared words.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <barrier>
+#include <cstdlib>
+#include <new>
 #include <set>
 #include <thread>
 #include <vector>
@@ -17,6 +21,30 @@
 #include "lin_check.hpp"
 #include "util/rand.hpp"
 #include "util/thread_registry.hpp"
+
+// Replacement global allocation functions that count the calling thread's
+// operator new calls, so CommitPathDoesNotAllocate can prove a commit never
+// reaches the allocator (a standard-library stable sort or in-place merge
+// would, for its temporary buffer).
+namespace {
+thread_local std::uint64_t tlsNewCalls = 0;
+}  // namespace
+
+void* operator new(std::size_t n) {
+  ++tlsNewCalls;
+  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  ++tlsNewCalls;
+  return std::malloc(n != 0 ? n : 1);
+}
+// noinline: inlined into a delete-expression, free() on memory from a
+// new-expression trips -Wmismatched-new-delete.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace pathcas::k {
 namespace {
@@ -52,7 +80,7 @@ TEST(Word, SeqStatePacking) {
   EXPECT_EQ(stateOf(ss), State::kSucceeded);
 }
 
-using Domain = KcasDomain<16, 32>;
+using Domain = KcasDomain<32, 32>;
 
 class KcasTest : public ::testing::Test {
  protected:
@@ -227,6 +255,93 @@ TEST_F(KcasTest, PromoteMergesWidePathSkippingDuplicates) {
   EXPECT_EQ(domain.execute(false), ExecResult::kSucceeded);
   EXPECT_EQ(load(target), 2u);
   for (word_t i = 0; i < kVers; ++i) EXPECT_EQ(load(vers[i]), 100u + 2 * i);
+}
+
+TEST_F(KcasTest, PromotedStagingIsInOneAscendingAddressOrder) {
+  // Eight shift-inserted entries fill the inline slots; three appended ones
+  // land below, between and above them, and three visited words more. HFP's
+  // lock-freedom needs every helper to lock in one global order, so after
+  // promotion the staged entries must be strictly ascending by address
+  // (one array, so comparing element addresses is well defined).
+  AtomicWord w[24];
+  for (auto& x : w) store(x, 100);
+  domain.begin();
+  for (int i = 17; i >= 3; i -= 2)  // 17, 15, ..., 3: eight entries
+    domain.addEntry(&w[i], encodeVal(100), encodeVal(102));
+  for (int i : {10, 0, 20})  // appended: between, below, above
+    domain.addVerEntry(&w[i], encodeVal(100), encodeVal(102));
+  for (int i : {22, 1, 8, 5})  // visited; w[5] also has a real entry
+    domain.addPath(&w[i], encodeVal(100));
+  domain.promotePathToEntries();
+  EXPECT_EQ(domain.numStagedEntries(), 8 + 3 + 3);
+  std::vector<const AtomicWord*> order;
+  domain.forEachStagedEntry(
+      [&](AtomicWord* addr, word_t, word_t, bool) { order.push_back(addr); });
+  ASSERT_EQ(order.size(), 14u);
+  for (std::size_t i = 1; i < order.size(); ++i)
+    EXPECT_LT(order[i - 1], order[i]) << "entry " << i << " out of order";
+  EXPECT_EQ(domain.execute(false), ExecResult::kSucceeded);
+  for (int i : {0, 3, 5, 10, 17, 20}) EXPECT_EQ(load(w[i]), 102u);
+  for (int i : {1, 8, 22}) EXPECT_EQ(load(w[i]), 100u);
+}
+
+TEST_F(KcasTest, PromoteKeepsFirstObservationOfARevisitedWord) {
+  // A word visited twice: first at a stale version, then at its current
+  // one. Promotion must lock the first observation, so the strong-path
+  // commit fails and nothing changes. The path is wider than 16 slots so
+  // the sort partitions instead of running a (stable) insertion sort.
+  constexpr int kVers = 24;
+  for (int first = 0; first < kVers; ++first) {
+    for (int second = first + 1; second <= kVers; second += 5) {
+      AtomicWord target, vers[kVers];
+      store(target, 1);
+      for (auto& v : vers) store(v, 100);
+      store(vers[first], 102);  // moved on since the first visit
+      domain.begin();
+      domain.addEntry(&target, encodeVal(1), encodeVal(2));
+      for (int i = 0; i <= kVers; ++i) {
+        if (i == second) domain.addPath(&vers[first], encodeVal(102));
+        if (i == first) domain.addPath(&vers[first], encodeVal(100));
+        if (i < kVers && i != first) domain.addPath(&vers[i], encodeVal(100));
+      }
+      domain.promotePathToEntries();
+      EXPECT_EQ(domain.numStagedEntries(), 1 + kVers);
+      EXPECT_EQ(domain.execute(false), ExecResult::kFailedValue)
+          << "visits at path slots " << first << " and " << second;
+      EXPECT_EQ(load(target), 1u);
+      EXPECT_EQ(load(vers[first]), 102u);
+    }
+  }
+}
+
+TEST_F(KcasTest, CommitPathDoesNotAllocate) {
+  constexpr int kWide = 12;
+  AtomicWord w[kWide], vers[4];
+  for (auto& x : w) store(x, 0);
+  for (auto& v : vers) store(v, 100);
+  domain.begin();
+  domain.execute(false);  // resolve the calling thread's slots up front
+  for (int k : {1, 2, 4, 5, 8, 12}) {
+    domain.begin();
+    for (int i = k - 1; i >= 0; --i)  // descending: the worst staging order
+      domain.addEntry(&w[i], encodeVal(load(w[i])),
+                      encodeVal(load(w[i]) + 1));
+    const std::uint64_t before = tlsNewCalls;
+    const ExecResult r = domain.execute(false);
+    const std::uint64_t calls = tlsNewCalls - before;
+    EXPECT_EQ(r, ExecResult::kSucceeded) << "k = " << k;
+    EXPECT_EQ(calls, 0u) << "k = " << k;
+  }
+  // One §3.5 strong-path commit: promote the visited versions, then exec.
+  domain.begin();
+  domain.addEntry(&w[0], encodeVal(load(w[0])), encodeVal(load(w[0]) + 1));
+  for (int i = 3; i >= 0; --i) domain.addPath(&vers[i], encodeVal(100));
+  const std::uint64_t before = tlsNewCalls;
+  domain.promotePathToEntries();
+  const ExecResult r = domain.execute(false);
+  const std::uint64_t calls = tlsNewCalls - before;
+  EXPECT_EQ(r, ExecResult::kSucceeded);
+  EXPECT_EQ(calls, 0u) << "promoted commit";
 }
 
 TEST_F(KcasTest, StagingPreservedAcrossFailedExecute) {
