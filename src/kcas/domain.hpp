@@ -15,7 +15,11 @@
 //
 // With no scope active, currentDomain() falls back to the process-wide
 // DefaultDomain::instance(), so all pre-existing single-domain code is
-// unchanged in behaviour and cost (one TLS load + a predictable branch).
+// unchanged in behaviour. A lookup costs a TLS load, a branch and
+// instance()'s static-guard test, so the per-node paths skip it:
+// casword<T>::load() and visit() resolve the domain only when the word they
+// load holds a descriptor (to help it), and visit() appends to the staging
+// area the thread's last start() chose (KcasDomain::addPath).
 //
 // Correctness rule (see docs/ARCHITECTURE.md, "Sharded service layer"): a
 // given structure instance must ALWAYS be operated under the same domain —

@@ -38,8 +38,11 @@
 //    kept address-sorted by a shifting insert while an op fits the inline
 //    slots; past them addEntry() appends and execute()/promotePathToEntries()
 //    run one std::sort. No commit calls the allocator. A thread-local
-//    (domain, tid, pointers) cache lets begin/addEntry/visit skip the
-//    ThreadRegistry::tid() resolution and Padded-array indexing.
+//    (domain, tid, pointers) cache lets begin/addEntry/validate skip the
+//    ThreadRegistry::tid() resolution and Padded-array indexing. begin()
+//    also leaves the thread's staging area in one thread-local pointer, so
+//    a PathCAS visit appends through it without resolving the domain at
+//    all (addPath).
 //
 // Thread model: any thread calling into this class is registered with
 // ThreadRegistry (registration happens lazily on the first call; worker
@@ -101,12 +104,14 @@ class KcasDomain {
   // Owner-side argument staging (wait-free; the paper's start/add/visit).
   // ----------------------------------------------------------------------
 
-  /// Begin staging a new operation for the calling thread.
+  /// Begin staging a new operation for the calling thread, and make this
+  /// domain's staging area the one addPath() appends to.
   void begin() {
     Staging& st = *slots().st;
     st.numEntries = 0;
     st.numPath = 0;
     st.sorted = true;
+    tlsBegun_ = &st;
   }
 
   /// Stage ⟨addr, old, new⟩ (already-encoded words).
@@ -120,12 +125,21 @@ class KcasDomain {
     addEntryImpl(addr, oldEnc, newEnc, /*isVersionWord=*/true);
   }
 
-  /// Stage a visited version word and the (encoded) value observed.
-  void addPath(AtomicWord* verAddr, word_t expectedEnc) {
-    Staging& st = *slots().st;
+  /// Stage a visited version word and the (encoded) value observed, in the
+  /// staging area of the calling thread's last begin() on a domain of this
+  /// type. Static: it follows one thread-local pointer instead of resolving
+  /// a domain and the thread's slots, because visit() runs once per
+  /// traversed node. So call it after begin() on the domain the operation
+  /// runs on; begunHere() is the Debug check.
+  static void addPath(AtomicWord* verAddr, word_t expectedEnc) {
+    Staging& st = *tlsBegun_;
     PATHCAS_CHECK(st.numPath < MaxPath);
     st.pathAt(st.numPath++) = StagedPath{verAddr, expectedEnc};
   }
+
+  /// True iff the calling thread's last begin() was on this domain, under
+  /// the thread's current tid.
+  bool begunHere() { return tlsBegun_ == slots().st; }
 
   int numStagedEntries() { return slots().st->numEntries; }
   int numStagedPath() { return slots().st->numPath; }
@@ -879,6 +893,8 @@ class KcasDomain {
   static constexpr int kFastPathRetries = 4;
 
   static inline thread_local TlsSlots tlsSlots_{};
+  /// The staging area of the calling thread's last begin(); see addPath().
+  static inline thread_local Staging* tlsBegun_ = nullptr;
 
   Padded<KcasDesc> descs_[kMaxThreads];
   Padded<DcssDesc> dcssDescs_[kMaxThreads];

@@ -51,6 +51,16 @@ T decode(k::word_t w) {
   }
 }
 
+/// The PathCAS read of one word (encoded): a plain acquire load, the same
+/// first load readEncoded() makes. Only a word that holds a descriptor
+/// resolves the thread's current domain and helps through it, so a read
+/// that meets no operation pays one load and one tag test.
+inline k::word_t readWord(k::AtomicWord* addr) {
+  const k::word_t w = addr->load(std::memory_order_acquire);
+  if (PATHCAS_LIKELY(!k::isDescriptor(w))) return w;
+  return k::currentDomain().readEncoded(addr);
+}
+
 }  // namespace detail
 
 template <typename T>
@@ -64,13 +74,14 @@ class casword {
   casword(const casword&) = delete;
   casword& operator=(const casword&) = delete;
 
-  /// The PathCAS read(): helps any operation found in the word, through the
-  /// calling thread's current domain (kcas/domain.hpp) — a descriptor
-  /// reference is only meaningful in the domain that produced it, so reads
-  /// of a sharded structure must run under the owning shard's ScopedDomain.
+  /// The PathCAS read(): one acquire load; only when the word holds a
+  /// descriptor does it help that operation, through the calling thread's
+  /// current domain (kcas/domain.hpp) — a descriptor reference is only
+  /// meaningful in the domain that produced it, so reads of a sharded
+  /// structure must run under the owning shard's ScopedDomain.
   T load() const {
-    return detail::decode<T>(k::currentDomain().readEncoded(
-        const_cast<k::AtomicWord*>(&word_)));
+    return detail::decode<T>(
+        detail::readWord(const_cast<k::AtomicWord*>(&word_)));
   }
   operator T() const { return load(); }  // NOLINT(google-explicit-constructor)
 

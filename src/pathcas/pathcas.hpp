@@ -25,8 +25,9 @@
 // casword<std::uint64_t> named `ver`; bit 0 is the mark bit. Live updates
 // increment by 2; unlink+mark adds 1 (kVerMark helpers below).
 //
-// All functions operate on the calling thread's (reused) descriptor in the
-// process-wide KcasDomain.
+// All functions operate on the calling thread's (reused) descriptor in its
+// current KcasDomain: the process-wide one unless a k::ScopedDomain selects
+// another (kcas/domain.hpp).
 //
 // Usage requirements:
 //  * Threads register with ThreadRegistry lazily on first use; at most
@@ -36,6 +37,10 @@
 //    thread's private staging area: one in-flight operation per thread, and
 //    the exec()/vexec() that consumes it must run on the staging thread.
 //    start() discards any previously staged state.
+//  * A visit() goes to the staging area chosen by the thread's last start(),
+//    without looking the domain up again, so run the whole operation (start
+//    included) under one domain and call start() before the first visit().
+//    Debug builds check both.
 //  * Lifetime of targets: a casword handed to add()/visit() must stay mapped
 //    until no helper can still hold a descriptor reference to it. Unlink a
 //    node and mark its version in the same vexec, then retire it through
@@ -103,11 +108,15 @@ inline void addVer(casword<Version>& w, Version oldV, Version newV) {
 }
 
 /// visit(n): record n's version in the path; returns the version observed
-/// (mark bit included, as in the paper).
+/// (mark bit included, as in the paper). The read is casword's (one load,
+/// helping only on a descriptor) and the record goes to the staging area
+/// of the thread's last start() (usage notes above).
 inline Version visitVer(const casword<Version>& ver) {
   auto* addr = const_cast<k::AtomicWord*>(ver.addr());
-  const k::word_t enc = domain().readEncoded(addr);
-  domain().addPath(addr, enc);
+  const k::word_t enc = detail::readWord(addr);
+  PATHCAS_DCHECK(domain().begunHere() &&
+                 "visit() outside the current domain's start()");
+  k::DefaultDomain::addPath(addr, enc);
   return detail::decode<Version>(enc);
 }
 

@@ -347,32 +347,50 @@ class ShardedMap {
       sliceBegin = sliceEnd;
     }
 
+    // Insert order[b, e) of shard s; returns the keysum inserted.
+    auto load = [this, &orders](int s, std::size_t b, std::size_t e) {
+      const auto& order = orders[static_cast<std::size_t>(s)];
+      Shard& sh = *shards_[static_cast<std::size_t>(s)];
+      k::ScopedDomain scope(sh.set->kcas());
+      std::int64_t sum = 0;
+      for (std::size_t j = b; j < e; ++j) {
+        const K k = order[j];
+        if (sh.tree->insert(k, static_cast<V>(k))) sum += k;
+      }
+      return sum;
+    };
+    // The first chunk of each order (its top ~10 levels) goes in before any
+    // worker starts. One BFS level is ascending, so a level inserted while
+    // a stalled worker still holds the levels above it piles into chains;
+    // under the top levels those chains could outgrow a plain BST's visit
+    // bound (pathcas::kMaxVisited).
     std::vector<Padded<std::atomic<std::size_t>>> cursors(
         static_cast<std::size_t>(nshards_));
-    auto work = [this, &orders, &cursors](int worker) -> std::int64_t {
+    std::int64_t topSum = 0;
+    for (int s = 0; s < nshards_; ++s) {
+      const std::size_t e =
+          std::min(orders[static_cast<std::size_t>(s)].size(), kBulkChunk);
+      topSum += load(s, 0, e);
+      cursors[static_cast<std::size_t>(s)]->store(e);
+    }
+    auto work = [this, &orders, &cursors, &load](int worker) -> std::int64_t {
       const int home = homeShardForWorker(worker);
       if (config_.pinThreads) pinShardThread(home);
       std::int64_t sum = 0;
       for (int i = 0; i < nshards_; ++i) {
         const int s = (home + i) % nshards_;
-        const auto& order = orders[static_cast<std::size_t>(s)];
+        const std::size_t n = orders[static_cast<std::size_t>(s)].size();
         auto& cursor = *cursors[static_cast<std::size_t>(s)];
-        Shard& sh = *shards_[static_cast<std::size_t>(s)];
         for (;;) {
           const std::size_t b = cursor.fetch_add(kBulkChunk);
-          if (b >= order.size()) break;
-          const std::size_t e = std::min(order.size(), b + kBulkChunk);
-          k::ScopedDomain scope(sh.set->kcas());
-          for (std::size_t j = b; j < e; ++j) {
-            const K k = order[j];
-            if (sh.tree->insert(k, static_cast<V>(k))) sum += k;
-          }
+          if (b >= n) break;
+          sum += load(s, b, std::min(n, b + kBulkChunk));
         }
       }
       return sum;
     };
 
-    if (nthreads <= 1) return work(0);
+    if (nthreads <= 1) return topSum + work(0);
     std::vector<std::int64_t> sums(static_cast<std::size_t>(nthreads), 0);
     std::vector<std::thread> workers;
     workers.reserve(static_cast<std::size_t>(nthreads));
@@ -383,7 +401,7 @@ class ShardedMap {
       });
     }
     for (auto& t : workers) t.join();
-    std::int64_t total = 0;
+    std::int64_t total = topSum;
     for (std::int64_t s : sums) total += s;
     return total;
   }
@@ -620,9 +638,19 @@ class ShardedMap {
   /// eraseBatch + one insertBatch (disjoint key sets). Linearization: see
   /// the header comment.
   void combineOps(Shard& sh, OpSlot** ops, int n) {
-    std::stable_sort(ops, ops + n, [](const OpSlot* a, const OpSlot* b) {
-      return a->key < b->key;
+    // Sort by (key, gather position): same-key groups keep gather order,
+    // as std::stable_sort would, without its temporary buffer from
+    // operator new on every combined window.
+    struct Gathered {
+      OpSlot* op;
+      int pos;
+    };
+    Gathered order[kMaxCombine];
+    for (int i = 0; i < n; ++i) order[i] = Gathered{ops[i], i};
+    std::sort(order, order + n, [](const Gathered& a, const Gathered& b) {
+      return a.op->key != b.op->key ? a.op->key < b.op->key : a.pos < b.pos;
     });
+    for (int i = 0; i < n; ++i) ops[i] = order[i].op;
     K insKeys[kMaxCombine];
     V insVals[kMaxCombine];
     OpSlot* insOwner[kMaxCombine];

@@ -151,6 +151,12 @@ class DynConnPathCas {
         segs[nsegs++] = {sw.afterSelfHead, sw.afterSelfTail};
       segs[nsegs++] = {sw.beforeSelfHead, sw.selfNode};  // L3w
       segs[nsegs++] = {wv, wv};
+      if (!stitchDistinct(sv.smin, segs, nsegs, sw.smax)) {
+        // Torn survey; nothing was staged, the fresh nodes never escaped.
+        listPool_.destroy(vw);
+        listPool_.destroy(wv);
+        continue;
+      }
       stitch(sv.smin, segs, nsegs, sw.smax);
       // Drop the two interior sentinels.
       markNode(sv.smax);
@@ -225,6 +231,9 @@ class DynConnPathCas {
       ListNode* const l3head = second->next;
       PATHCAS_DCHECK(l2head != second &&
                      "the far endpoint's self edge always sits between");
+      // A torn survey can name one node at both splice points, which would
+      // stage its next (or prev) word twice: retry instead.
+      if (l1tail == l2tail || l2head == l3head) continue;
 
       // Detached tour: wrap L2 in fresh sentinels.
       auto* s3 = listPool_.alloc(kSentinel, v);
@@ -447,6 +456,23 @@ class DynConnPathCas {
       prev = segs[i].tail;
     }
     stageNeighbors(prev, tailSent);
+  }
+
+  /// True iff stitch() would stage each next and prev word once: no node
+  /// ends two segments (or is also `head`), and none starts two (or is also
+  /// `tailSent`). A survey's reads are not one snapshot, so a torn survey
+  /// can name one node in two roles; an address staged twice is undefined
+  /// (the second old value goes unchecked), so such an attempt retries.
+  static bool stitchDistinct(ListNode* head, const Seg* segs, int n,
+                             ListNode* tailSent) {
+    for (int i = 0; i < n; ++i) {
+      if (segs[i].tail == head || segs[i].head == tailSent) return false;
+      for (int j = i + 1; j < n; ++j) {
+        if (segs[i].tail == segs[j].tail || segs[i].head == segs[j].head)
+          return false;
+      }
+    }
+    return true;
   }
 
   /// Like linkPair but tolerates brand-new (unpublished) nodes, whose

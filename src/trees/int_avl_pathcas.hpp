@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <limits>
 #include <optional>
 #include <utility>
@@ -208,6 +209,7 @@ class IntAvlPathCas {
         }
       } else if (currLeft == nullptr || currRight == nullptr) {
         Node* childToKeep = (currLeft == nullptr) ? currRight : currLeft;
+        if (!distinctNodes({parent, curr, childToKeep})) continue;
         const Version childVer = visit(childToKeep);
         if (isMarked(childVer)) continue;
         auto& ptrToChange =
@@ -229,6 +231,12 @@ class IntAvlPathCas {
           continue;
         }
         Node* const succR = su.succ->right;
+        // succP may be curr itself (succ is curr's right child); every
+        // other pair must be distinct.
+        if (!distinctNodes({curr, su.succ, succR}) ||
+            !distinctNodes({su.succP, su.succ, succR})) {
+          continue;
+        }
         Version succRVer = 0;
         if (succR != nullptr) {
           succRVer = visit(succR);
@@ -788,6 +796,7 @@ class IntAvlPathCas {
   FixResult fixHeight(Node* n, Version nV, Node* l, Version lV, Node* r,
                       Version rV) {
     // l/r/versions were visited by the caller in this same PathCAS op.
+    if (!distinctNodes({n, l, r})) return FixResult::kFailure;
     if (l != nullptr) addVer(l->ver, lV, lV);
     if (r != nullptr) addVer(r->ver, rV, rV);
     const std::int64_t oldHeight = n->height;
@@ -803,6 +812,19 @@ class IntAvlPathCas {
     addVer(n->ver, nV, verBump(nV));
     if (vex()) return FixResult::kSuccess;
     return FixResult::kFailure;
+  }
+
+  /// True iff the non-null nodes are pairwise distinct. A traversal's reads
+  /// are not one snapshot, so a torn read can name one node in two roles of
+  /// an update. Staging that node's words twice would leave the second old
+  /// value unchecked — phase 1 and validation both accept the op's own
+  /// lock — so every multi-node update checks this before staging anything
+  /// and retries if it fails.
+  static bool distinctNodes(std::initializer_list<const Node*> nodes) {
+    for (auto a = nodes.begin(); a != nodes.end(); ++a)
+      for (auto b = a + 1; b != nodes.end(); ++b)
+        if (*a != nullptr && *a == *b) return false;
+    return true;
   }
 
   /// Attach l in n's place under p. Returns false if n is not p's child.
@@ -826,8 +848,9 @@ class IntAvlPathCas {
   ///    ll  lr               lr  r
   bool rotateRight(Node* p, Version pV, Node* n, Version nV, Node* l,
                    Version lV) {
-    if (!addParentSwing(p, n, l)) return false;
     Node* const lr = l->right;
+    if (!distinctNodes({p, n, l, lr})) return false;
+    if (!addParentSwing(p, n, l)) return false;
     std::int64_t lrH = 0;
     if (lr != nullptr) {
       const Version lrV = visit(lr);
@@ -868,8 +891,9 @@ class IntAvlPathCas {
 
   bool rotateLeft(Node* p, Version pV, Node* n, Version nV, Node* r,
                   Version rV) {
-    if (!addParentSwing(p, n, r)) return false;
     Node* const rl = r->left;
+    if (!distinctNodes({p, n, r, rl})) return false;
+    if (!addParentSwing(p, n, r)) return false;
     std::int64_t rlH = 0;
     if (rl != nullptr) {
       const Version rlV = visit(rl);
@@ -919,8 +943,10 @@ class IntAvlPathCas {
   ///    lrl  lrr
   bool rotateLeftRight(Node* p, Version pV, Node* n, Version nV, Node* l,
                        Version lV, Node* lr, Version lrV) {
-    if (!addParentSwing(p, n, lr)) return false;
     Node* const lrl = lr->left;
+    Node* const lrr = lr->right;
+    if (!distinctNodes({p, n, l, lr, lrl, lrr})) return false;
+    if (!addParentSwing(p, n, lr)) return false;
     std::int64_t lrlH = 0;
     if (lrl != nullptr) {
       const Version lrlV = visit(lrl);
@@ -929,7 +955,6 @@ class IntAvlPathCas {
       add(lrl->parent, lr, l);
       addVer(lrl->ver, lrlV, verBump(lrlV));
     }
-    Node* const lrr = lr->right;
     std::int64_t lrrH = 0;
     if (lrr != nullptr) {
       const Version lrrV = visit(lrr);
@@ -977,8 +1002,10 @@ class IntAvlPathCas {
 
   bool rotateRightLeft(Node* p, Version pV, Node* n, Version nV, Node* r,
                        Version rV, Node* rl, Version rlV) {
-    if (!addParentSwing(p, n, rl)) return false;
     Node* const rlr = rl->right;
+    Node* const rll = rl->left;
+    if (!distinctNodes({p, n, r, rl, rlr, rll})) return false;
+    if (!addParentSwing(p, n, rl)) return false;
     std::int64_t rlrH = 0;
     if (rlr != nullptr) {
       const Version rlrV = visit(rlr);
@@ -987,7 +1014,6 @@ class IntAvlPathCas {
       add(rlr->parent, rl, r);
       addVer(rlr->ver, rlrV, verBump(rlrV));
     }
-    Node* const rll = rl->left;
     std::int64_t rllH = 0;
     if (rll != nullptr) {
       const Version rllV = visit(rll);

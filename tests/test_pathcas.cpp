@@ -1,15 +1,18 @@
 // Tests for the PathCAS primitive itself: casword encoding, the
 // start/read/add/visit/validate/exec/vexec lifecycle, marking semantics,
-// the strong-vexec slow path, the HTM fast path (emulated backend, with
-// abort injection), and multi-threaded snapshot atomicity.
+// the strong-vexec slow path, the read path (load/visit helping only on a
+// descriptor), the HTM fast path (emulated backend, with abort injection),
+// and multi-threaded snapshot atomicity.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <vector>
 
 #include "pathcas/pathcas.hpp"
+#include "recl/domain_set.hpp"
 #include "util/rand.hpp"
 #include "util/thread_registry.hpp"
 
@@ -322,6 +325,134 @@ TEST(StrongPath, MarkedVisitedNodePlusDescriptorIsGenuineFailure) {
   EXPECT_FALSE(result);                 // genuine failure, not a commit
   EXPECT_EQ(target.val.load(), 5);      // nothing was written
 }
+
+// ---------------------------------------------------------------------------
+// The read path: casword<T>::load() and visit() make one plain load and help
+// only when the word holds a descriptor.
+// ---------------------------------------------------------------------------
+
+TEST(ReadPath, LoadAndVisitHelpUntilTheDescriptorClears) {
+  TNode n;
+  n.ver.setInitial(40);
+  installStaleDescriptor(n.ver);
+  std::atomic<bool> loadDone{false}, visitDone{false};
+  Version loaded = 0, visited = 0;
+  int recordedCount = 0;
+  k::word_t recorded = 0;
+  std::thread loader([&] {
+    ThreadGuard tg;
+    loaded = n.ver.load();
+    loadDone.store(true, std::memory_order_release);
+  });
+  std::thread visitor([&] {
+    ThreadGuard tg;
+    start();
+    visited = visitVer(n.ver);
+    domain().forEachStagedPath([&](k::AtomicWord* addr, k::word_t enc) {
+      EXPECT_EQ(addr, n.ver.addr());
+      recorded = enc;
+      ++recordedCount;
+    });
+    visitDone.store(true, std::memory_order_release);
+  });
+  // The stale descriptor never completes, so neither reader can return
+  // until the word holds a value again.
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_FALSE(loadDone.load(std::memory_order_acquire));
+  EXPECT_FALSE(visitDone.load(std::memory_order_acquire));
+  n.ver.addr()->store(k::encodeVal(42), std::memory_order_release);
+  loader.join();
+  visitor.join();
+  EXPECT_EQ(loaded, 42u);
+  EXPECT_EQ(visited, 42u);
+  EXPECT_EQ(recordedCount, 1);
+  EXPECT_EQ(recorded, k::encodeVal(42));
+}
+
+// One writer commits 4-word exec()s, each moving two nodes' values and
+// versions together; its descriptors sit on the words while readers load
+// and visit them. A tag read as a value would decode far past kCommits, and
+// a validated snapshot must see both nodes at the same commit.
+TEST(ReadPath, ReadersNeverSeeTaggedOrTornValuesUnderCommits) {
+  constexpr std::int64_t kCommits = 20000;
+  TNode a, b;
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> validated{0};
+  std::thread writer([&] {
+    ThreadGuard tg;
+    for (std::int64_t i = 0; i < kCommits; ++i) {
+      start();
+      add(a.val, i, i + 1);
+      add(b.val, i, i + 1);
+      addVer(a.ver, static_cast<Version>(2 * i), static_cast<Version>(2 * i + 2));
+      addVer(b.ver, static_cast<Version>(2 * i), static_cast<Version>(2 * i + 2));
+      ASSERT_TRUE(exec());  // the only writer: every commit succeeds
+    }
+    stop.store(true, std::memory_order_release);
+  });
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&] {
+      ThreadGuard tg;
+      std::int64_t lastA = 0;
+      while (!stop.load(std::memory_order_acquire)) {
+        const std::int64_t la = a.val.load();
+        const std::int64_t lb = b.val.load();
+        ASSERT_GE(la, lastA);  // a word only grows
+        ASSERT_LE(la, kCommits);
+        ASSERT_GE(lb, 0);
+        ASSERT_LE(lb, kCommits);
+        lastA = la;
+
+        start();
+        const Version va = visitVer(a.ver);
+        const Version vb = visitVer(b.ver);
+        const std::int64_t sa = a.val;
+        const std::int64_t sb = b.val;
+        ASSERT_LE(va, static_cast<Version>(2 * kCommits));
+        ASSERT_LE(vb, static_cast<Version>(2 * kCommits));
+        ASSERT_FALSE(isMarked(va) || isMarked(vb));
+        Version rec[2] = {1, 1};
+        int nrec = 0;
+        domain().forEachStagedPath([&](k::AtomicWord*, k::word_t enc) {
+          if (nrec < 2) rec[nrec] = k::decodeVal(enc);
+          ++nrec;
+        });
+        ASSERT_EQ(nrec, 2);
+        ASSERT_EQ(rec[0], va);  // the path records what visit returned
+        ASSERT_EQ(rec[1], vb);
+        if (validate()) {
+          ASSERT_EQ(va, vb);
+          ASSERT_EQ(sa, sb);
+          ASSERT_EQ(va, static_cast<Version>(2 * sa));
+          validated.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  writer.join();
+  for (auto& r : readers) r.join();
+  EXPECT_GT(validated.load(), 0u);
+  EXPECT_EQ(a.val.load(), kCommits);
+  EXPECT_EQ(b.ver.load(), static_cast<Version>(2 * kCommits));
+}
+
+#ifndef NDEBUG
+// visit() appends to the staging area of the thread's last start() without
+// looking the domain up; the Debug check catches a visit made under a
+// different domain than that start().
+TEST(ReadPathDeathTest, VisitUnderAnotherDomainThanStartAborts) {
+  TNode n;
+  recl::DomainSet other;
+  EXPECT_DEATH(
+      {
+        start();
+        k::ScopedDomain scope(other.kcas());
+        visit(&n);
+      },
+      "outside the current domain");
+}
+#endif
 
 // ---------------------------------------------------------------------------
 // HTM fast path (emulated backend).
