@@ -5,6 +5,11 @@
 // the four rotations (Algorithms 8-11 plus mirrors), applied while walking
 // parent pointers toward the root until a violation-free node is reached.
 //
+// That base is trees/internal_tree_core.hpp, shared with the BST: the reads,
+// scans, per-op insert and insertBatch/eraseBatch. This header keeps the
+// node type, erase(), the erase shapes a batch may stage, rebalancing, and
+// the core's two hooks (adopt: parent word and height; afterCommit).
+//
 // Deviations from the paper's pseudocode (which contains typos) are
 // normalized to one rule: ANY node whose fields change in a vexec — including
 // pure parent-pointer retargeting — has its version incremented in the same
@@ -14,171 +19,45 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <initializer_list>
-#include <limits>
-#include <optional>
-#include <utility>
 #include <vector>
 
 #include "pathcas/pathcas.hpp"
 #include "recl/ebr.hpp"
 #include "recl/pool.hpp"
-#include "trees/int_bst_pathcas.hpp"  // TreeStats, IntBstOptions
+#include "trees/internal_tree_core.hpp"
 #include "util/defs.hpp"
 
 namespace pathcas::ds {
 
+template <typename K, typename V>
+struct IntAvlNode {
+  casword<Version> ver;
+  casword<K> key;
+  casword<V> val;
+  casword<IntAvlNode*> left;
+  casword<IntAvlNode*> right;
+  casword<IntAvlNode*> parent;
+  casword<std::int64_t> height;  // logical height (relaxed)
+
+  IntAvlNode(K k, V v) {
+    key.setInitial(k);
+    val.setInitial(v);
+    height.setInitial(1);
+  }
+};
+
 template <typename K = std::int64_t, typename V = std::int64_t>
-class IntAvlPathCas {
+class IntAvlPathCas
+    : public InternalTreeCore<IntAvlPathCas<K, V>, IntAvlNode<K, V>, K, V> {
+  using Core = InternalTreeCore<IntAvlPathCas<K, V>, IntAvlNode<K, V>, K, V>;
+  friend Core;
+
  public:
-  static_assert(std::is_integral_v<K> && std::is_integral_v<V>);
-  /// Exposed for generic frontends (service/sharded_map.hpp).
-  using KeyType = K;
-  using ValueType = V;
-  using OptionsType = IntBstOptions;
-  static constexpr K kNegInf = std::numeric_limits<K>::min() / 4;
-  static constexpr K kPosInf = std::numeric_limits<K>::max() / 4;
-
-  struct Node {
-    casword<Version> ver;
-    casword<K> key;
-    casword<V> val;
-    casword<Node*> left;
-    casword<Node*> right;
-    casword<Node*> parent;
-    casword<std::int64_t> height;  // logical height (relaxed)
-
-    Node(K k, V v, Node* p) {
-      key.setInitial(k);
-      val.setInitial(v);
-      parent.setInitial(p);
-      height.setInitial(1);
-    }
-  };
-
-  explicit IntAvlPathCas(IntBstOptions options = {},
-                         recl::EbrDomain& ebr = recl::EbrDomain::instance(),
-                         recl::NodePool<Node>* pool = nullptr)
-      : opt_(options), ebr_(ebr), pool_(pool ? *pool : recl::defaultPool<Node>()) {
-    maxRoot_ = pool_.alloc(kPosInf, V{}, nullptr);
-    minRoot_ = pool_.alloc(kNegInf, V{}, maxRoot_);
-    maxRoot_->left.setInitial(minRoot_);
-  }
-
-  IntAvlPathCas(const IntAvlPathCas&) = delete;
-  IntAvlPathCas& operator=(const IntAvlPathCas&) = delete;
-
-  ~IntAvlPathCas() {
-    // Quiescent-teardown exception: no thread pinned on this tree anymore,
-    // so reachable nodes go straight back to the pool (no EBR).
-    freeSubtree(minRoot_->right.load());
-    pool_.destroy(minRoot_);
-    pool_.destroy(maxRoot_);
-  }
-
-  bool contains(K key) {
-    PATHCAS_DCHECK(key > kNegInf && key < kPosInf);
-    auto guard = ebr_.pin();
-    for (;;) {
-      start();
-      const SearchResult s = search(key);
-      if (s.found && (opt_.reduceValidation || validate())) return true;
-      if (!s.found && validate()) return false;
-    }
-  }
-
-  std::optional<V> get(K key) {
-    PATHCAS_DCHECK(key > kNegInf && key < kPosInf);
-    auto guard = ebr_.pin();
-    for (;;) {
-      start();
-      const SearchResult s = search(key);
-      if (!s.found) {
-        if (validate()) return std::nullopt;
-        continue;
-      }
-      if (!opt_.reduceValidation && !validate()) continue;
-      // Same seqlock-style pair check as IntBstPathCas::get — the two-child
-      // erase swaps key/value in place and always bumps curr's version, so
-      // an unchanged version re-read AFTER the value load proves the pair.
-      const V val = s.curr->val.load();
-      if (s.curr->ver.load() == s.currVer) return val;
-    }
-  }
-
-  /// Linearizable range query (see IntBstPathCas::rangeQuery): append every
-  /// (key, value) pair with lo <= key <= hi to `out` in ascending key order;
-  /// returns the number appended. Rotations retarget pointers of visited
-  /// nodes only with a version bump (the normalization rule above), so a
-  /// validated scan is an atomic snapshot even while rebalancing runs.
-  /// Bounded by pathcas::kMaxVisited examined nodes (footnote 2).
-  std::size_t rangeQuery(K lo, K hi, std::vector<std::pair<K, V>>& out) {
-    PATHCAS_DCHECK(lo > kNegInf && hi < kPosInf);
-    if (lo > hi) return 0;
-    auto guard = ebr_.pin();
-    const std::size_t base = out.size();
-    for (;;) {
-      start();
-      visit(minRoot_);  // pins the root pointer (minRoot_->right)
-      collectRange(minRoot_->right.load(), lo, hi, out);
-      if (vval()) return out.size() - base;
-      out.resize(base);  // torn attempt: discard and re-traverse
-    }
-  }
-
-  /// One validated scan attempt with visited-pair capture, for the sharded
-  /// map's cross-shard linearization. Contract identical to
-  /// IntBstPathCas::rangeQueryCapture: `cap(k::AtomicWord*, k::word_t)` is
-  /// called per visited pair BEFORE validation; a false return means the
-  /// caller must discard the capture and retry (no internal retry loop).
-  template <typename Cap>
-  bool rangeQueryCapture(K lo, K hi, std::vector<std::pair<K, V>>& out,
-                         Cap&& cap) {
-    PATHCAS_DCHECK(lo > kNegInf && hi < kPosInf);
-    if (lo > hi) return true;
-    auto guard = ebr_.pin();
-    const std::size_t base = out.size();
-    start();
-    visit(minRoot_);  // pins the root pointer (minRoot_->right)
-    collectRange(minRoot_->right.load(), lo, hi, out);
-    domain().forEachStagedPath(cap);
-    if (vval()) return true;
-    out.resize(base);
-    return false;
-  }
-
-  bool insert(K key, V val) {
-    PATHCAS_DCHECK(key > kNegInf && key < kPosInf);
-    auto guard = ebr_.pin();
-    Node* leaf = nullptr;
-    for (;;) {
-      start();
-      const SearchResult s = search(key);
-      if (s.found) {
-        if (opt_.reduceValidation || validate()) {
-          // Never published (no add() committed it): direct recycle is safe.
-          if (leaf != nullptr) pool_.destroy(leaf);
-          return false;
-        }
-        continue;
-      }
-      if (leaf == nullptr) {
-        leaf = pool_.alloc(key, val, s.parent);
-      } else {
-        leaf->parent.setInitial(s.parent);
-      }
-      const K parentKey = s.parent->key;
-      auto& ptrToChange =
-          (key < parentKey) ? s.parent->left : s.parent->right;
-      add(ptrToChange, static_cast<Node*>(nullptr), leaf);
-      addVer(s.parent->ver, s.parentVer, verBump(s.parentVer));
-      if (vex()) {
-        rebalance(s.parent);
-        return true;
-      }
-    }
-  }
+  using Node = IntAvlNode<K, V>;
+  using Core::Core;
+  using Core::kNegInf;
+  using Core::kPosInf;
 
   bool erase(K key) {
     PATHCAS_DCHECK(key > kNegInf && key < kPosInf);
@@ -268,69 +147,27 @@ class IntAvlPathCas {
   }
 
   // ------------------------------------------------------------------
-  // Batched updates (group commit). Same contract and split rules as
-  // IntBstPathCas::insertBatch/eraseBatch; see the "Batched commits"
-  // section of docs/ARCHITECTURE.md. AVL-specific deltas: inserted runs
-  // become height-annotated balanced subtrees whose attach points are
-  // rebalanced after the commit, and only LEAF removals are staged in the
-  // wide KCAS — a one-child splice retargets the kept child's parent word,
-  // which may already carry a staged version bump from the child's own
-  // subtree in the same batch (an address staged twice is undefined), so
-  // one-child and two-child removals defer to per-op erase().
-  // ------------------------------------------------------------------
-
-  /// insertIfAbsent over a strictly-ascending key run; see
-  /// IntBstPathCas::insertBatch.
-  std::size_t insertBatch(const K* keys, const V* vals, std::size_t n,
-                          bool* outcomes) {
-    checkBatchKeys(keys, n);
-    for (std::size_t i = 0; i < n; ++i) outcomes[i] = false;
-    const std::size_t chunk = batchChunkWidth();
-    std::size_t inserted = 0;
-    for (std::size_t i = 0; i < n; i += chunk)
-      inserted += insertRun(keys + i, vals + i, std::min(chunk, n - i),
-                            outcomes + i);
-    return inserted;
-  }
-
-  /// delete over a strictly-ascending key run; see IntBstPathCas::eraseBatch.
-  std::size_t eraseBatch(const K* keys, std::size_t n, bool* outcomes) {
-    checkBatchKeys(keys, n);
-    for (std::size_t i = 0; i < n; ++i) outcomes[i] = false;
-    const std::size_t chunk = batchChunkWidth();
-    std::size_t erased = 0;
-    for (std::size_t i = 0; i < n; i += chunk)
-      erased += eraseRun(keys + i, std::min(chunk, n - i), outcomes + i);
-    return erased;
-  }
-
-  // ------------------------------------------------------------------
   // Quiescent-state inspection.
   // ------------------------------------------------------------------
 
-  /// Checks BST order, that no reachable node is marked, parent-pointer
-  /// consistency, and that logical heights are self-consistent
-  /// (height == 1 + max(child heights)) — the state Bougé's rebalancing
-  /// converges to. `requireStrictBalance` additionally asserts every node's
-  /// children differ in height by <= 1 (holds after quiescent convergence).
+  /// Checks BST order, sentinel structure, that no reachable node is
+  /// marked, parent-pointer consistency, and that logical heights are
+  /// self-consistent (height == 1 + max(child heights)) — the state Bougé's
+  /// rebalancing converges to. `requireStrictBalance` additionally asserts
+  /// every node's children differ in height by <= 1 (holds after quiescent
+  /// convergence).
   TreeStats checkInvariants(bool requireStrictBalance = false) const {
-    PATHCAS_CHECK(maxRoot_->left.load() == minRoot_);
-    TreeStats stats;
-    std::uint64_t depthSum = 0;
-    Node* root = minRoot_->right.load();
-    if (root != nullptr) PATHCAS_CHECK(root->parent.load() == minRoot_);
-    walk(root, kNegInf, kPosInf, 1, stats, depthSum, requireStrictBalance);
-    stats.avgKeyDepth =
-        stats.size ? static_cast<double>(depthSum) / stats.size : 0.0;
-    stats.footprintBytes = (stats.nodeCount + 2) * sizeof(Node);
-    return stats;
-  }
-
-  std::uint64_t size() const { return checkInvariants().size; }
-  std::int64_t keySum() const { return checkInvariants().keySum; }
-
-  void forEach(const std::function<void(K, V)>& f) const {
-    forEachRec(minRoot_->right.load(), f);
+    return this->walkInvariants([requireStrictBalance](Node* n, Node* parent) {
+      PATHCAS_CHECK(n->parent.load() == parent);
+      if (requireStrictBalance) {
+        Node* const l = n->left.load();
+        Node* const r = n->right.load();
+        PATHCAS_CHECK(n->height.load() ==
+                      1 + std::max(heightOf(l), heightOf(r)));
+        const std::int64_t bal = heightOf(l) - heightOf(r);
+        PATHCAS_CHECK(bal >= -1 && bal <= 1);
+      }
+    });
   }
 
   /// Quiescent helper for tests: repeatedly apply rebalancing at every node
@@ -346,227 +183,35 @@ class IntAvlPathCas {
   static constexpr const char* name() { return "int-avl-pathcas"; }
 
  private:
-  struct SearchResult {
-    bool found;
-    Node* curr;
-    Version currVer;
-    Node* parent;
-    Version parentVer;
-  };
-  struct Successor {
-    Node* succ;
-    Version succVer;
-    Node* succP;
-    Version succPVer;
-  };
+  using typename Core::EraseFrame, typename Core::EraseScratch,
+      typename Core::SearchResult, typename Core::StageStatus,
+      typename Core::Successor;
+  using Core::ebr_, Core::execOrVex, Core::getSuccessor, Core::maxRoot_,
+      Core::minRoot_, Core::pool_, Core::search, Core::stageBudgetLeft,
+      Core::vex;
+
   enum class FixResult { kSuccess, kFailure, kUnnecessary };
 
-  SearchResult search(K key) {
-    Node* parent = maxRoot_;
-    Version parentVer = visit(parent);
-    Node* curr = minRoot_;
-    Version currVer = visit(curr);
-    while (curr != nullptr) {
-      const K currKey = curr->key;
-      if (key == currKey) return {true, curr, currVer, parent, parentVer};
-      Node* next = (key > currKey) ? curr->right.load() : curr->left.load();
-      parent = curr;
-      parentVer = currVer;
-      curr = next;
-      if (curr != nullptr) {
-        // Warm the likely-next level while visit() pays this node's
-        // validation cost (PATHCAS_PREFETCH: hint only, re-read after).
-        prefetch(curr->left);
-        prefetch(curr->right);
-        currVer = visit(curr);
-      }
-    }
-    return {false, nullptr, 0, parent, parentVer};
+  // Core hooks. adopt: a node built or allocated privately takes its parent
+  // word, and its height when it has children (a prebuilt subtree's nodes
+  // are adopted bottom-up, so the children's heights are final).
+  static void adopt(Node* n, Node* parent, Node* l, Node* r) {
+    n->parent.setInitial(parent);
+    if (l != nullptr || r != nullptr)
+      n->height.setInitial(1 + std::max(heightOf(l), heightOf(r)));
   }
+  void afterCommit(Node* n) { rebalance(n); }
 
-  Successor getSuccessor(Node* start, Version startVer) {
-    Node* succP = start;
-    Version succPVer = startVer;
-    Node* succ = start->right;
-    if (succ == nullptr) return {nullptr, 0, nullptr, 0};
-    Version succVer = visit(succ);
-    for (;;) {
-      Node* next = succ->left;
-      if (next == nullptr) return {succ, succVer, succP, succPVer};
-      succP = succ;
-      succPVer = succVer;
-      succ = next;
-      prefetch(succ->left);
-      succVer = visit(next);
-    }
-  }
-
-  // --- batched-commit machinery (see IntBstPathCas for the protocol) --
-
-  static constexpr int kBatchRetries = 3;
-  static constexpr int kBatchStageBudget =
-      static_cast<int>(k::DefaultDomain::kMaxEntries) - 16;
-
-  enum class StageStatus { kOk, kRetry, kOverflow };
-
-  static bool stageBudgetLeft(int need = 1) {
-    return domain().stagedFootprint() + need <= kBatchStageBudget;
-  }
-
-  std::size_t batchChunkWidth() const {
-    return opt_.batchOpsPerCommit > 1
-               ? static_cast<std::size_t>(opt_.batchOpsPerCommit)
-               : 1;
-  }
-
-  static void checkBatchKeys(const K* keys, std::size_t n) {
-    (void)keys;
-    (void)n;
-#ifndef NDEBUG
-    for (std::size_t i = 0; i < n; ++i) {
-      PATHCAS_DCHECK(keys[i] > kNegInf && keys[i] < kPosInf);
-      PATHCAS_DCHECK(i == 0 || keys[i - 1] < keys[i]);
-    }
-#endif
-  }
-
-  struct InsertScratch {
-    std::vector<Node*> built;   // unpublished subtree roots (freed on abort)
-    std::vector<Node*> attach;  // nodes gaining a subtree (rebalance roots)
-    std::vector<std::pair<std::size_t, std::size_t>> staged;  // outcome ranges
-  };
-
-  void discardInsertAttempt(InsertScratch& sc) {
-    for (Node* n : sc.built) freeSubtree(n);
-    sc.built.clear();
-    sc.attach.clear();
-    sc.staged.clear();
-  }
-
-  /// Balanced, height-annotated subtree of keys[lo..hi), built privately
-  /// under `parent` (setInitial): only shared if the staged link commits.
-  Node* buildSubtree(const K* keys, const V* vals, std::size_t lo,
-                     std::size_t hi, Node* parent) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    Node* const n = pool_.alloc(keys[mid], vals[mid], parent);
-    std::int64_t lh = 0, rh = 0;
-    if (lo < mid) {
-      Node* const l = buildSubtree(keys, vals, lo, mid, n);
-      n->left.setInitial(l);
-      lh = l->height.load();
-    }
-    if (mid + 1 < hi) {
-      Node* const r = buildSubtree(keys, vals, mid + 1, hi, n);
-      n->right.setInitial(r);
-      rh = r->height.load();
-    }
-    if (lh != 0 || rh != 0) n->height.setInitial(1 + std::max(lh, rh));
-    return n;
-  }
-
-  StageStatus stageInsertNode(Node* node, Version nodeVer, const K* keys,
-                              const V* vals, std::size_t lo, std::size_t hi,
-                              InsertScratch& sc) {
-    if (isMarked(nodeVer)) return StageStatus::kRetry;
-    const K nodeKey = node->key;
-    const std::size_t mid = static_cast<std::size_t>(
-        std::lower_bound(keys + lo, keys + hi, nodeKey) - keys);
-    std::size_t rlo = mid;
-    if (rlo < hi && keys[rlo] == nodeKey) ++rlo;  // present: outcome stays false
-    bool childStaged = false;
-    if (lo < mid) {
-      const StageStatus s = stageInsertChild(node, node->left, keys, vals, lo,
-                                             mid, sc, childStaged);
-      if (s != StageStatus::kOk) return s;
-    }
-    if (rlo < hi) {
-      const StageStatus s = stageInsertChild(node, node->right, keys, vals,
-                                             rlo, hi, sc, childStaged);
-      if (s != StageStatus::kOk) return s;
-    }
-    if (childStaged) {
-      if (!stageBudgetLeft()) return StageStatus::kOverflow;
-      addVer(node->ver, nodeVer, verBump(nodeVer));
-    }
-    return StageStatus::kOk;
-  }
-
-  StageStatus stageInsertChild(Node* node, casword<Node*>& slot,
-                               const K* keys, const V* vals, std::size_t lo,
-                               std::size_t hi, InsertScratch& sc,
-                               bool& childStaged) {
-    Node* const child = slot.load();
-    if (child != nullptr) {
-      if (!stageBudgetLeft()) return StageStatus::kOverflow;
-      const Version childVer = visit(child);
-      return stageInsertNode(child, childVer, keys, vals, lo, hi, sc);
-    }
-    if (!stageBudgetLeft(2)) return StageStatus::kOverflow;
-    Node* const sub = buildSubtree(keys, vals, lo, hi, node);
-    sc.built.push_back(sub);
-    sc.attach.push_back(node);
-    sc.staged.emplace_back(lo, hi);
-    add(slot, static_cast<Node*>(nullptr), sub);
-    childStaged = true;
-    return StageStatus::kOk;
-  }
-
-  std::size_t insertRun(const K* keys, const V* vals, std::size_t n,
-                        bool* out) {
-    if (n == 0) return 0;
-    if (n == 1) {  // degraded to the per-op commit (k=1 fast path)
-      out[0] = insert(keys[0], vals[0]);
-      return out[0] ? 1u : 0u;
-    }
-    auto guard = ebr_.pin();
-    InsertScratch sc;
-    for (int attempt = 0; attempt < kBatchRetries; ++attempt) {
-      start();
-      const Version rootVer = visit(minRoot_);
-      const StageStatus s =
-          stageInsertNode(minRoot_, rootVer, keys, vals, 0, n, sc);
-      if (s == StageStatus::kOverflow) {
-        discardInsertAttempt(sc);
-        break;  // deterministic: retrying the same width cannot help
-      }
-      if (s == StageStatus::kRetry) {
-        discardInsertAttempt(sc);
-        continue;
-      }
-      if (sc.staged.empty()) {
-        if (opt_.reduceValidation || validate()) return 0;
-        continue;
-      }
-      if (vex()) {
-        std::size_t inserted = 0;
-        for (const auto& range : sc.staged) {
-          for (std::size_t i = range.first; i < range.second; ++i) {
-            out[i] = true;
-            ++inserted;
-          }
-        }
-        // An attached subtree is internally balanced but may unbalance the
-        // path above its attach point; repair from there (Bougé walk-up).
-        for (Node* at : sc.attach) rebalance(at);
-        return inserted;
-      }
-      discardInsertAttempt(sc);
-    }
-    const std::size_t half = n / 2;  // split-and-retry
-    return insertRun(keys, vals, half, out) +
-           insertRun(keys + half, vals + half, n - half, out + half);
-  }
-
-  struct EraseScratch {
-    std::vector<Node*> unlink;             // staged-out leaves (retired on commit)
-    std::vector<Node*> rebal;              // their parents (rebalance roots)
-    std::vector<std::size_t> stagedIdx;    // outcome indices of staged removals
-    std::vector<std::size_t> deferredIdx;  // per-op erase() after the commit
-  };
-
-  struct EraseFrame {
-    bool removed = false;
-  };
+  // ------------------------------------------------------------------
+  // Batched erase: the AVL's deltas from the core's protocol (see the
+  // "Batched commits" section of docs/ARCHITECTURE.md). Inserted runs
+  // become height-annotated balanced subtrees whose attach points are
+  // rebalanced after the commit (afterCommit), and only LEAF removals are
+  // staged in the wide KCAS — a one-child splice retargets the kept child's
+  // parent word, which may already carry a staged version bump from the
+  // child's own subtree in the same batch (an address staged twice is
+  // undefined), so one-child and two-child removals defer to per-op erase().
+  // ------------------------------------------------------------------
 
   StageStatus stageEraseNode(Node* node, Version nodeVer, const K* keys,
                              std::size_t lo, std::size_t hi, EraseScratch& sc,
@@ -592,7 +237,7 @@ class IntAvlPathCas {
     }
     if (matched) {
       if (!childStaged && left == nullptr && right == nullptr) {
-        if (!stageBudgetLeft(2)) return StageStatus::kOverflow;
+        if (!stageBudgetLeft(*sc.dom, 2)) return StageStatus::kOverflow;
         // Leaf: mark node; the parent frame swings its slot and bumps its
         // own version. Matches the per-op leaf-deletion entry set exactly.
         addVer(node->ver, nodeVer, verMark(nodeVer));
@@ -605,7 +250,7 @@ class IntAvlPathCas {
       sc.deferredIdx.push_back(mid);
     }
     if (childStaged) {
-      if (!stageBudgetLeft()) return StageStatus::kOverflow;
+      if (!stageBudgetLeft(*sc.dom)) return StageStatus::kOverflow;
       addVer(node->ver, nodeVer, verBump(nodeVer));
     }
     return StageStatus::kOk;
@@ -614,7 +259,7 @@ class IntAvlPathCas {
   StageStatus stageEraseEdge(Node* node, casword<Node*>& slot, Node* child,
                              const K* keys, std::size_t lo, std::size_t hi,
                              EraseScratch& sc, bool& childStaged) {
-    if (!stageBudgetLeft(2)) return StageStatus::kOverflow;
+    if (!stageBudgetLeft(*sc.dom, 2)) return StageStatus::kOverflow;
     const Version childVer = visit(child);
     EraseFrame cf;
     const StageStatus s =
@@ -626,73 +271,6 @@ class IntAvlPathCas {
       childStaged = true;
     }
     return StageStatus::kOk;
-  }
-
-  std::size_t eraseRun(const K* keys, std::size_t n, bool* out) {
-    if (n == 0) return 0;
-    if (n == 1) {  // degraded to the per-op commit
-      out[0] = erase(keys[0]);
-      return out[0] ? 1u : 0u;
-    }
-    auto guard = ebr_.pin();
-    EraseScratch sc;
-    for (int attempt = 0; attempt < kBatchRetries; ++attempt) {
-      start();
-      sc.unlink.clear();
-      sc.rebal.clear();
-      sc.stagedIdx.clear();
-      sc.deferredIdx.clear();
-      const Version rootVer = visit(minRoot_);
-      EraseFrame rootFrame;
-      const StageStatus s =
-          stageEraseNode(minRoot_, rootVer, keys, 0, n, sc, rootFrame);
-      if (s == StageStatus::kOverflow) break;
-      if (s == StageStatus::kRetry) continue;
-      PATHCAS_DCHECK(!rootFrame.removed);  // minRoot's key is a sentinel
-      if (sc.unlink.empty()) {
-        if (!validate()) continue;
-        return finishEraseRun(keys, out, sc);
-      }
-      if (vex()) {
-        for (Node* dead : sc.unlink) ebr_.retire(dead, pool_);
-        for (Node* p : sc.rebal) rebalance(p);
-        return finishEraseRun(keys, out, sc);
-      }
-    }
-    const std::size_t half = n / 2;  // split-and-retry
-    return eraseRun(keys, half, out) +
-           eraseRun(keys + half, n - half, out + half);
-  }
-
-  std::size_t finishEraseRun(const K* keys, bool* out, EraseScratch& sc) {
-    std::size_t erased = sc.stagedIdx.size();
-    for (std::size_t idx : sc.stagedIdx) out[idx] = true;
-    for (std::size_t idx : sc.deferredIdx) {
-      out[idx] = erase(keys[idx]);
-      if (out[idx]) ++erased;
-    }
-    return erased;
-  }
-
-  bool vex() { return opt_.useHtmFastPath ? vexecFast() : vexec(); }
-  bool vval() {
-    return opt_.useHtmFastPath ? validateVisitedFast() : validateVisited();
-  }
-  bool execOrVex() {
-    if (opt_.reduceValidation)
-      return opt_.useHtmFastPath ? execFast() : pathcas::exec();
-    return vex();
-  }
-
-  /// In-order walk of the subtrees overlapping [lo, hi], visiting every node
-  /// examined; collected pairs are only meaningful if validation succeeds.
-  void collectRange(Node* n, K lo, K hi, std::vector<std::pair<K, V>>& out) {
-    if (n == nullptr) return;
-    visit(n);
-    const K k = n->key.load();
-    if (k > lo) collectRange(n->left.load(), lo, hi, out);
-    if (k >= lo && k <= hi) out.emplace_back(k, n->val.load());
-    if (k < hi) collectRange(n->right.load(), lo, hi, out);
   }
 
   static std::int64_t heightOf(Node* n) {
@@ -1059,33 +637,6 @@ class IntAvlPathCas {
     return vex();
   }
 
-  // ------------------------------------------------------------------
-
-  void walk(Node* n, K lo, K hi, std::uint64_t depth, TreeStats& stats,
-            std::uint64_t& depthSum, bool strict) const {
-    if (n == nullptr) return;
-    const K k = n->key.load();
-    PATHCAS_CHECK(k > lo && k < hi);
-    PATHCAS_CHECK(!isMarked(n->ver.load()));
-    Node* const l = n->left.load();
-    Node* const r = n->right.load();
-    if (l != nullptr) PATHCAS_CHECK(l->parent.load() == n);
-    if (r != nullptr) PATHCAS_CHECK(r->parent.load() == n);
-    if (strict) {
-      PATHCAS_CHECK(n->height.load() ==
-                    1 + std::max(heightOf(l), heightOf(r)));
-      const std::int64_t bal = heightOf(l) - heightOf(r);
-      PATHCAS_CHECK(bal >= -1 && bal <= 1);
-    }
-    ++stats.size;
-    ++stats.nodeCount;
-    stats.keySum += static_cast<std::int64_t>(k);
-    depthSum += depth;
-    stats.height = std::max(stats.height, depth);
-    walk(l, lo, k, depth + 1, stats, depthSum, strict);
-    walk(r, k, hi, depth + 1, stats, depthSum, strict);
-  }
-
   void fixAll(Node* n, bool& changed) {
     if (n == nullptr) return;
     fixAll(n->left.load(), changed);
@@ -1101,27 +652,7 @@ class IntAvlPathCas {
     }
   }
 
-  void forEachRec(Node* n, const std::function<void(K, V)>& f) const {
-    if (n == nullptr) return;
-    forEachRec(n->left.load(), f);
-    f(n->key.load(), n->val.load());
-    forEachRec(n->right.load(), f);
-  }
-
-  void freeSubtree(Node* n) {
-    if (n == nullptr) return;
-    freeSubtree(n->left.load());
-    freeSubtree(n->right.load());
-    pool_.destroy(n);
-  }
-
   static constexpr int kMaxRebalanceAttempts = 10000;
-
-  IntBstOptions opt_;
-  recl::EbrDomain& ebr_;
-  recl::NodePool<Node>& pool_;
-  Node* maxRoot_;
-  Node* minRoot_;
 };
 
 }  // namespace pathcas::ds

@@ -1,0 +1,711 @@
+// The internal-BST core shared by the two PathCAS trees: the internal BST of
+// §4 (Algorithms 3-6) and the relaxed AVL tree of §4.2, which the paper
+// builds as that BST plus parent pointers, heights and rebalancing.
+// IntBstPathCas and IntAvlPathCas derive from InternalTreeCore<Derived,
+// Node, K, V> (CRTP), so the trees differ only where their algorithms do.
+//
+// The core owns the sentinels, the EBR and pool members, the reads, the
+// range scans, per-op insert and the insertBatch/eraseBatch machinery. Each
+// tree keeps its node type, erase(), and the erase shapes one batch may
+// stage. The core calls into a tree only through:
+//   static adopt(n, parent, l, r) — finish a still-private node about to be
+//       linked under `parent`, children l and r set (AVL: parent word and
+//       height; BST: nothing);
+//   afterCommit(n) — after a committed insert or batch changed n's child
+//       slots (AVL: rebalance(n); BST: nothing);
+//   stageEraseNode(...) — stage one eraseRun partition; the removals it
+//       defers run through the tree's erase() after the commit.
+//
+// Structure: two sentinels — maxRoot (key +inf) whose left child is minRoot
+// (key -inf); all real keys live in minRoot's right subtree. Every node
+// carries a PathCAS version word; nodes are unlinked and marked in the same
+// atomic PathCAS (so reachability == unmarked), and retired through EBR.
+//
+// Linearizability follows the paper's appendix E argument: every update
+// either performs a successful PathCAS whose validation/entries pin the
+// relevant part of the structure, or returns after a validated search
+// established an atomic snapshot of the search path.
+#pragma once
+
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <limits>
+#include <optional>
+#include <type_traits>
+#include <utility>
+#include <vector>
+
+#include "pathcas/pathcas.hpp"
+#include "recl/ebr.hpp"
+#include "recl/pool.hpp"
+#include "util/defs.hpp"
+
+namespace pathcas::ds {
+
+/// Aggregate structural statistics (quiescent-state only), used by the
+/// benchmark harness for keysum validation and the Fig. 5 factor analysis.
+struct TreeStats {
+  std::uint64_t size = 0;          // keys logically present
+  std::uint64_t nodeCount = 0;     // allocated reachable nodes
+  std::uint64_t height = 0;
+  double avgKeyDepth = 0.0;
+  std::int64_t keySum = 0;
+  std::uint64_t footprintBytes = 0;  // nodeCount * sizeof(Node)
+};
+
+/// Configuration knobs (the §4.1 ablation).
+struct IntBstOptions {
+  /// Skip validation when contains/insert finds the key (§4.1) and use exec
+  /// instead of vexec for leaf/one-child deletions.
+  bool reduceValidation = true;
+  /// Route updates through the HTM fast path (the paper's int-bst-pathcas+).
+  bool useHtmFastPath = false;
+  /// Max logical ops staged into one wide KCAS by insertBatch/eraseBatch/
+  /// updateBatch before the sorted run is chunked into separate commits.
+  /// Values <= 1 degrade batches to per-op commits; small values force
+  /// deterministic splits (tests). 32 amortizes the per-commit fixed costs
+  /// further than 16 while still fitting the staging budget for trees up to
+  /// ~12 levels; deeper trees overflow the budget and split gracefully.
+  int batchOpsPerCommit = 32;
+};
+
+template <typename Derived, typename Node, typename K, typename V>
+class InternalTreeCore {
+ public:
+  static_assert(std::is_integral_v<K> && std::is_integral_v<V>);
+  /// Exposed for generic frontends (service/sharded_map.hpp).
+  using KeyType = K;
+  using ValueType = V;
+  using OptionsType = IntBstOptions;
+  /// Sentinel keys; user keys must lie strictly between them.
+  static constexpr K kNegInf = std::numeric_limits<K>::min() / 4;
+  static constexpr K kPosInf = std::numeric_limits<K>::max() / 4;
+
+  explicit InternalTreeCore(IntBstOptions options = {},
+                            recl::EbrDomain& ebr = recl::EbrDomain::instance(),
+                            recl::NodePool<Node>* pool = nullptr)
+      : opt_(options), ebr_(ebr), pool_(pool ? *pool : recl::defaultPool<Node>()) {
+    maxRoot_ = pool_.alloc(kPosInf, V{});
+    minRoot_ = pool_.alloc(kNegInf, V{});
+    Derived::adopt(minRoot_, maxRoot_, nullptr, nullptr);
+    maxRoot_->left.setInitial(minRoot_);
+  }
+
+  InternalTreeCore(const InternalTreeCore&) = delete;
+  InternalTreeCore& operator=(const InternalTreeCore&) = delete;
+
+  /// True iff key is in the set. Validation is skipped on found keys when
+  /// reduceValidation is on (§4.1: a reachable node was unmarked, hence in
+  /// the set at some time during the operation).
+  bool contains(K key) {
+    PATHCAS_DCHECK(key > kNegInf && key < kPosInf);
+    auto guard = ebr_.pin();
+    for (;;) {
+      start();
+      const SearchResult s = search(key);
+      if (s.found && (opt_.reduceValidation || validate())) return true;
+      if (!s.found && validate()) return false;
+    }
+  }
+
+  /// Returns the value associated with key, if present (linearized at the
+  /// value read).
+  std::optional<V> get(K key) {
+    PATHCAS_DCHECK(key > kNegInf && key < kPosInf);
+    auto guard = ebr_.pin();
+    for (;;) {
+      start();
+      const SearchResult s = search(key);
+      if (!s.found) {
+        if (validate()) return std::nullopt;
+        continue;
+      }
+      if (!opt_.reduceValidation && !validate()) continue;
+      // §4.1 covers membership, but not the value: a concurrent two-child
+      // erase replaces this node's key AND value in place (successor swap),
+      // so a bare val load here could return the successor's value under
+      // the searched key. The swap always bumps curr's version, so
+      // re-reading the version AFTER the value load (acquire loads — the
+      // re-read cannot move before the val load) proves ⟨key, val⟩ was
+      // read as one intact pair; a mismatch re-traverses.
+      const V val = s.curr->val.load();
+      if (s.curr->ver.load() == s.currVer) return val;
+    }
+  }
+
+  /// Linearizable range query: append every (key, value) pair with
+  /// lo <= key <= hi to `out`, in ascending key order; returns the number of
+  /// pairs appended. The traversal visits every node it examines (the same
+  /// ⟨node, version⟩ recording a vexec path uses), then revalidates the whole
+  /// visited set: optimistic with bounded retries, escalating to the §3.5
+  /// strong path, so scans cannot starve on spurious conflicts. The AVL's
+  /// rotations retarget pointers of visited nodes only with a version bump,
+  /// so a validated scan is an atomic snapshot even while rebalancing runs.
+  /// Scans that would examine more than pathcas::kMaxVisited nodes are out
+  /// of contract (footnote 2) — bound the range accordingly.
+  std::size_t rangeQuery(K lo, K hi, std::vector<std::pair<K, V>>& out) {
+    PATHCAS_DCHECK(lo > kNegInf && hi < kPosInf);
+    if (lo > hi) return 0;
+    auto guard = ebr_.pin();
+    const std::size_t base = out.size();
+    for (;;) {
+      start();
+      visit(minRoot_);  // pins the root pointer (minRoot_->right)
+      collectRange(minRoot_->right.load(), lo, hi, out);
+      if (vval()) return out.size() - base;
+      out.resize(base);  // torn attempt: discard and re-traverse
+    }
+  }
+
+  /// One validated scan ATTEMPT that additionally hands every visited
+  /// ⟨version-word, observed-encoding⟩ pair to `cap(k::AtomicWord*,
+  /// k::word_t)` — the raw material for the sharded map's cross-shard
+  /// linearization protocol (phase-2 revalidation of all shards' scans
+  /// together). The capture necessarily runs BEFORE validation, because
+  /// validateVisited may consume the staging area through the §3.5 strong
+  /// path; a true return retroactively blesses the captured pairs (they
+  /// formed an atomic snapshot), a false return obliges the caller to
+  /// discard them (out's tail is already discarded here). Unlike
+  /// rangeQuery, this does not retry internally: a multi-shard caller must
+  /// redo all shards together, so it owns the retry loop.
+  template <typename Cap>
+  bool rangeQueryCapture(K lo, K hi, std::vector<std::pair<K, V>>& out,
+                         Cap&& cap) {
+    PATHCAS_DCHECK(lo > kNegInf && hi < kPosInf);
+    if (lo > hi) return true;
+    auto guard = ebr_.pin();
+    const std::size_t base = out.size();
+    start();
+    visit(minRoot_);  // pins the root pointer (minRoot_->right)
+    collectRange(minRoot_->right.load(), lo, hi, out);
+    domain().forEachStagedPath(cap);
+    if (vval()) return true;
+    out.resize(base);
+    return false;
+  }
+
+  /// insertIfAbsent (Algorithm 4). Returns false iff key was already present.
+  bool insert(K key, V val) {
+    PATHCAS_DCHECK(key > kNegInf && key < kPosInf);
+    auto guard = ebr_.pin();
+    Node* leaf = nullptr;
+    for (;;) {
+      start();
+      const SearchResult s = search(key);
+      if (s.found) {
+        if (opt_.reduceValidation || validate()) {
+          // Never published (no add() committed it): direct recycle is safe.
+          if (leaf != nullptr) pool_.destroy(leaf);
+          return false;
+        }
+        continue;
+      }
+      if (leaf == nullptr) leaf = pool_.alloc(key, val);
+      Derived::adopt(leaf, s.parent, nullptr, nullptr);
+      const K parentKey = s.parent->key;
+      auto& ptrToChange =
+          (key < parentKey) ? s.parent->left : s.parent->right;
+      add(ptrToChange, static_cast<Node*>(nullptr), leaf);
+      addVer(s.parent->ver, s.parentVer, verBump(s.parentVer));
+      if (vex()) {
+        self().afterCommit(s.parent);
+        return true;
+      }
+    }
+  }
+
+  // ------------------------------------------------------------------
+  // Batched updates (group commit). One shared traversal stages every op
+  // of a sorted key run into a single wide KCAS, amortizing descriptor
+  // publication and re-validation of the common path prefix across the
+  // run. Chunks wider than batchOpsPerCommit — and chunks that overflow
+  // the staging budget or keep losing their commit — are split in half
+  // and retried, degrading to per-op insert()/erase() at width 1, so a
+  // conflicted batch can never livelock the per-op fast paths. See the
+  // "Batched commits" section of docs/ARCHITECTURE.md.
+  // ------------------------------------------------------------------
+
+  /// insertIfAbsent over a strictly-ascending key run. outcomes[i] is set
+  /// true iff keys[i] was inserted (false: already present); returns the
+  /// number of insertions. All ops of one committed chunk linearize at its
+  /// single KCAS; separate chunks linearize independently, in key order.
+  std::size_t insertBatch(const K* keys, const V* vals, std::size_t n,
+                          bool* outcomes) {
+    checkBatchKeys(keys, n);
+    for (std::size_t i = 0; i < n; ++i) outcomes[i] = false;
+    const std::size_t chunk = batchChunkWidth();
+    std::size_t inserted = 0;
+    for (std::size_t i = 0; i < n; i += chunk)
+      inserted += insertRun(keys + i, vals + i, std::min(chunk, n - i),
+                            outcomes + i);
+    return inserted;
+  }
+
+  /// delete over a strictly-ascending key run. outcomes[i] is set true iff
+  /// keys[i] was removed (false: absent); returns the number of removals.
+  /// The tree's stageEraseNode decides which removal shapes are staged into
+  /// the chunk's wide KCAS; the rest — removals whose node was already
+  /// touched by the same chunk (a child slot swing staged on it), and shapes
+  /// the tree does not stage — fall back to per-op erase() immediately after
+  /// the chunk commits.
+  std::size_t eraseBatch(const K* keys, std::size_t n, bool* outcomes) {
+    checkBatchKeys(keys, n);
+    for (std::size_t i = 0; i < n; ++i) outcomes[i] = false;
+    const std::size_t chunk = batchChunkWidth();
+    std::size_t erased = 0;
+    for (std::size_t i = 0; i < n; i += chunk)
+      erased += eraseRun(keys + i, std::min(chunk, n - i), outcomes + i);
+    return erased;
+  }
+
+  // ------------------------------------------------------------------
+  // Quiescent-state inspection (tests and the benchmark harness only).
+  // ------------------------------------------------------------------
+
+  /// Walk the tree checking BST order, sentinel structure and that no
+  /// reachable node is marked. Aborts (PATHCAS_CHECK) on violations.
+  /// Returns statistics. The AVL's own checkInvariants(bool) adds its checks.
+  TreeStats checkInvariants() const {
+    return walkInvariants([](Node*, Node*) {});
+  }
+
+  std::uint64_t size() const { return self().checkInvariants().size; }
+  std::int64_t keySum() const { return self().checkInvariants().keySum; }
+
+  /// In-order traversal (quiescent), for oracle comparison in tests.
+  void forEach(const std::function<void(K, V)>& f) const {
+    forEachRec(minRoot_->right.load(), f);
+  }
+
+ protected:
+  ~InternalTreeCore() {
+    // Quiescent-teardown exception: no thread can be pinned on this tree
+    // anymore, so reachable nodes go straight back to the pool (no EBR).
+    freeSubtree(minRoot_->right.load());
+    pool_.destroy(minRoot_);
+    pool_.destroy(maxRoot_);
+  }
+
+  struct SearchResult {
+    bool found;
+    Node* curr;
+    Version currVer;
+    Node* parent;
+    Version parentVer;
+  };
+  struct Successor {
+    Node* succ;
+    Version succVer;
+    Node* succP;
+    Version succPVer;
+  };
+
+  Derived& self() { return static_cast<Derived&>(*this); }
+  const Derived& self() const { return static_cast<const Derived&>(*this); }
+
+  /// Algorithm 3: traditional BST search, visiting every node traversed.
+  SearchResult search(K key) {
+    Node* parent = maxRoot_;
+    Version parentVer = visit(parent);
+    Node* curr = minRoot_;
+    Version currVer = visit(curr);
+    while (curr != nullptr) {
+      const K currKey = curr->key;
+      if (key == currKey) return {true, curr, currVer, parent, parentVer};
+      Node* next = (key > currKey) ? curr->right.load() : curr->left.load();
+      parent = curr;
+      parentVer = currVer;
+      curr = next;
+      if (curr != nullptr) {
+        // Warm the likely-next level while visit() pays this node's
+        // validation cost (PATHCAS_PREFETCH: hint only, re-read after).
+        prefetch(curr->left);
+        prefetch(curr->right);
+        currVer = visit(curr);
+      }
+    }
+    return {false, nullptr, 0, parent, parentVer};
+  }
+
+  /// Algorithm 5: locate curr's successor, visiting the traversed nodes.
+  Successor getSuccessor(Node* start, Version startVer) {
+    Node* succP = start;
+    Version succPVer = startVer;
+    Node* succ = start->right;
+    if (succ == nullptr) return {nullptr, 0, nullptr, 0};
+    Version succVer = visit(succ);
+    for (;;) {
+      Node* next = succ->left;
+      if (next == nullptr) return {succ, succVer, succP, succPVer};
+      succP = succ;
+      succPVer = succVer;
+      succ = next;
+      prefetch(succ->left);
+      succVer = visit(next);
+    }
+  }
+
+  // --- batched-commit machinery -------------------------------------
+
+  /// Attempts per chunk before splitting; conflicts under contention are
+  /// expected, and halving converges to the per-op paths quickly.
+  static constexpr int kBatchRetries = 3;
+  /// Combined path+entries budget for one chunk. vexec's strong path merges
+  /// the visited set into the entry array (cap k::DefaultDomain::kMaxEntries),
+  /// so a batch must leave headroom below that cap or the escalation would
+  /// overflow.
+  static constexpr int kBatchStageBudget =
+      static_cast<int>(k::DefaultDomain::kMaxEntries) - 16;
+
+  enum class StageStatus {
+    kOk,
+    kRetry,    // transient (marked node seen): same width, fresh traversal
+    kOverflow  // staging budget: deterministic, split without retrying
+  };
+
+  /// `dom` is the run's cached domain reference: the probe runs once per
+  /// visited node, and re-resolving the thread-local domain each time costs
+  /// more than the comparison itself.
+  static bool stageBudgetLeft(k::DefaultDomain& dom, int need = 1) {
+    return dom.stagedFootprint() + need <= kBatchStageBudget;
+  }
+
+  std::size_t batchChunkWidth() const {
+    return opt_.batchOpsPerCommit > 1
+               ? static_cast<std::size_t>(opt_.batchOpsPerCommit)
+               : 1;
+  }
+
+  static void checkBatchKeys(const K* keys, std::size_t n) {
+    (void)keys;
+    (void)n;
+#ifndef NDEBUG
+    for (std::size_t i = 0; i < n; ++i) {
+      PATHCAS_DCHECK(keys[i] > kNegInf && keys[i] < kPosInf);
+      PATHCAS_DCHECK(i == 0 || keys[i - 1] < keys[i]);
+    }
+#endif
+  }
+
+  /// One staged link: the inserts of keys[lo..hi), as one subtree hung from
+  /// a null child slot of `at` (the node afterCommit repairs from).
+  struct StagedLink {
+    std::size_t lo;
+    std::size_t hi;
+    Node* at;
+  };
+
+  struct InsertScratch {
+    k::DefaultDomain* dom = nullptr;  // cached once per run (budget probes)
+    std::vector<Node*> built;  // unpublished subtree roots (freed on abort)
+    std::vector<StagedLink> staged;  // outcome ranges and attach points
+  };
+
+  void discardInsertAttempt(InsertScratch& sc) {
+    for (Node* n : sc.built) freeSubtree(n);
+    sc.built.clear();
+    sc.staged.clear();
+  }
+
+  /// Balanced subtree of keys[lo..hi), built privately under `parent`
+  /// (setInitial, then adopt): it only becomes shared if the staged link to
+  /// it commits.
+  Node* buildSubtree(const K* keys, const V* vals, std::size_t lo,
+                     std::size_t hi, Node* parent) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    Node* const n = pool_.alloc(keys[mid], vals[mid]);
+    Node* l = nullptr;
+    Node* r = nullptr;
+    if (lo < mid) {
+      l = buildSubtree(keys, vals, lo, mid, n);
+      n->left.setInitial(l);
+    }
+    if (mid + 1 < hi) {
+      r = buildSubtree(keys, vals, mid + 1, hi, n);
+      n->right.setInitial(r);
+    }
+    Derived::adopt(n, parent, l, r);
+    return n;
+  }
+
+  /// Stage the inserts of keys[lo..hi) under `node` (already visited at
+  /// nodeVer by the caller). Each key run partitions around node->key; a run
+  /// landing on a null child slot becomes one staged link to a prebuilt
+  /// subtree. Every node whose child slot changes gets exactly one version
+  /// bump, so no address is staged twice.
+  StageStatus stageInsertNode(Node* node, Version nodeVer, const K* keys,
+                              const V* vals, std::size_t lo, std::size_t hi,
+                              InsertScratch& sc) {
+    if (isMarked(nodeVer)) return StageStatus::kRetry;
+    const K nodeKey = node->key;
+    const std::size_t mid = static_cast<std::size_t>(
+        std::lower_bound(keys + lo, keys + hi, nodeKey) - keys);
+    std::size_t rlo = mid;
+    if (rlo < hi && keys[rlo] == nodeKey) ++rlo;  // present: outcome stays false
+    bool childStaged = false;
+    if (lo < mid) {
+      const StageStatus s = stageInsertChild(node, node->left, keys, vals, lo,
+                                             mid, sc, childStaged);
+      if (s != StageStatus::kOk) return s;
+    }
+    if (rlo < hi) {
+      const StageStatus s = stageInsertChild(node, node->right, keys, vals,
+                                             rlo, hi, sc, childStaged);
+      if (s != StageStatus::kOk) return s;
+    }
+    if (childStaged) {
+      if (!stageBudgetLeft(*sc.dom)) return StageStatus::kOverflow;
+      addVer(node->ver, nodeVer, verBump(nodeVer));
+    }
+    return StageStatus::kOk;
+  }
+
+  StageStatus stageInsertChild(Node* node, casword<Node*>& slot,
+                               const K* keys, const V* vals, std::size_t lo,
+                               std::size_t hi, InsertScratch& sc,
+                               bool& childStaged) {
+    Node* const child = slot.load();
+    if (child != nullptr) {
+      if (!stageBudgetLeft(*sc.dom)) return StageStatus::kOverflow;
+      const Version childVer = visit(child);
+      if (hi - lo == 1) return stageInsertOne(child, childVer, keys, vals, lo, sc);
+      return stageInsertNode(child, childVer, keys, vals, lo, hi, sc);
+    }
+    if (!stageBudgetLeft(*sc.dom, 2)) return StageStatus::kOverflow;
+    Node* const sub = buildSubtree(keys, vals, lo, hi, node);
+    sc.built.push_back(sub);
+    sc.staged.push_back({lo, hi, node});
+    add(slot, static_cast<Node*>(nullptr), sub);
+    childStaged = true;
+    return StageStatus::kOk;
+  }
+
+  /// Tight iterative descent once a partition has narrowed to one key — the
+  /// common case for every key below the batch's shared prefix. Matches
+  /// search()'s loop body: no partitioning, no recursion, one budget probe
+  /// per hop. The node whose null slot takes the link gets the one version
+  /// bump; it lies strictly inside this partition's subtree, which no other
+  /// partition touches, so no address is staged twice. Sc is InsertScratch
+  /// or the BST's MixedScratch (same field names).
+  template <typename Sc>
+  StageStatus stageInsertOne(Node* node, Version nodeVer, const K* keys,
+                             const V* vals, std::size_t i, Sc& sc) {
+    const K key = keys[i];
+    k::DefaultDomain& dom = *sc.dom;
+    for (;;) {
+      if (isMarked(nodeVer)) return StageStatus::kRetry;
+      const K nodeKey = node->key;
+      if (key == nodeKey) return StageStatus::kOk;  // present: outcome false
+      casword<Node*>& slot = key < nodeKey ? node->left : node->right;
+      Node* const child = slot.load();
+      if (child == nullptr) {
+        if (!stageBudgetLeft(dom, 2)) return StageStatus::kOverflow;
+        Node* const leaf = pool_.alloc(key, vals[i]);
+        Derived::adopt(leaf, node, nullptr, nullptr);
+        sc.built.push_back(leaf);
+        sc.staged.push_back({i, i + 1, node});
+        add(slot, static_cast<Node*>(nullptr), leaf);
+        addVer(node->ver, nodeVer, verBump(nodeVer));
+        return StageStatus::kOk;
+      }
+      if (!stageBudgetLeft(dom)) return StageStatus::kOverflow;
+      prefetch(child->left);
+      prefetch(child->right);
+      nodeVer = visit(child);
+      node = child;
+    }
+  }
+
+  std::size_t insertRun(const K* keys, const V* vals, std::size_t n,
+                        bool* out) {
+    if (n == 0) return 0;
+    if (n == 1) {  // degraded to the per-op commit (k=1 fast path)
+      out[0] = insert(keys[0], vals[0]);
+      return out[0] ? 1u : 0u;
+    }
+    auto guard = ebr_.pin();
+    InsertScratch sc;
+    sc.dom = &domain();
+    for (int attempt = 0; attempt < kBatchRetries; ++attempt) {
+      start();
+      const Version rootVer = visit(minRoot_);
+      const StageStatus s =
+          stageInsertNode(minRoot_, rootVer, keys, vals, 0, n, sc);
+      if (s == StageStatus::kOverflow) {
+        discardInsertAttempt(sc);
+        break;  // deterministic: retrying the same width cannot help
+      }
+      if (s == StageStatus::kRetry) {
+        discardInsertAttempt(sc);
+        continue;
+      }
+      if (sc.staged.empty()) {
+        // Every key already present; same witness rule as insert().
+        if (opt_.reduceValidation || validate()) return 0;
+        continue;
+      }
+      if (vex()) {
+        std::size_t inserted = 0;
+        for (const StagedLink& link : sc.staged) {
+          for (std::size_t i = link.lo; i < link.hi; ++i) {
+            out[i] = true;
+            ++inserted;
+          }
+          // An attached subtree is internally balanced but may unbalance
+          // the path above its attach point; repair from there (the AVL's
+          // Bougé walk-up).
+          self().afterCommit(link.at);
+        }
+        return inserted;
+      }
+      discardInsertAttempt(sc);
+    }
+    const std::size_t half = n / 2;  // split-and-retry
+    return insertRun(keys, vals, half, out) +
+           insertRun(keys + half, vals + half, n - half, out + half);
+  }
+
+  struct EraseScratch {
+    k::DefaultDomain* dom = nullptr;       // cached once per run (budget probes)
+    std::vector<Node*> unlink;             // staged-out nodes (retired on commit)
+    std::vector<Node*> rebal;              // afterCommit roots (AVL: parents)
+    std::vector<std::size_t> stagedIdx;    // outcome indices of staged removals
+    std::vector<std::size_t> deferredIdx;  // per-op erase() after the commit
+  };
+
+  struct EraseFrame {
+    bool removed = false;
+    Node* repl = nullptr;  // what the parent should swing its slot to
+  };
+
+  std::size_t eraseRun(const K* keys, std::size_t n, bool* out) {
+    if (n == 0) return 0;
+    if (n == 1) {  // degraded to the per-op commit
+      out[0] = self().erase(keys[0]);
+      return out[0] ? 1u : 0u;
+    }
+    auto guard = ebr_.pin();
+    EraseScratch sc;
+    sc.dom = &domain();
+    for (int attempt = 0; attempt < kBatchRetries; ++attempt) {
+      start();
+      sc.unlink.clear();
+      sc.rebal.clear();
+      sc.stagedIdx.clear();
+      sc.deferredIdx.clear();
+      const Version rootVer = visit(minRoot_);
+      EraseFrame rootFrame;
+      const StageStatus s = self().stageEraseNode(minRoot_, rootVer, keys, 0,
+                                                  n, sc, rootFrame);
+      if (s == StageStatus::kOverflow) break;
+      if (s == StageStatus::kRetry) continue;
+      PATHCAS_DCHECK(!rootFrame.removed);  // minRoot's key is a sentinel
+      if (sc.unlink.empty()) {
+        // Nothing staged: absent keys still need a validated traversal as
+        // their witness (same rule as erase()); deferred ones run per-op.
+        if (!validate()) continue;
+        return finishEraseRun(keys, out, sc);
+      }
+      if (vex()) {
+        for (Node* dead : sc.unlink) ebr_.retire(dead, pool_);
+        for (Node* p : sc.rebal) self().afterCommit(p);
+        return finishEraseRun(keys, out, sc);
+      }
+    }
+    const std::size_t half = n / 2;  // split-and-retry
+    return eraseRun(keys, half, out) +
+           eraseRun(keys + half, n - half, out + half);
+  }
+
+  std::size_t finishEraseRun(const K* keys, bool* out, EraseScratch& sc) {
+    std::size_t erased = sc.stagedIdx.size();
+    for (std::size_t idx : sc.stagedIdx) out[idx] = true;
+    for (std::size_t idx : sc.deferredIdx) {
+      out[idx] = self().erase(keys[idx]);
+      if (out[idx]) ++erased;
+    }
+    return erased;
+  }
+
+  bool vex() { return opt_.useHtmFastPath ? vexecFast() : vexec(); }
+  bool vval() {
+    return opt_.useHtmFastPath ? validateVisitedFast() : validateVisited();
+  }
+  /// §4.1: leaf/one-child deletions need no path validation — the entries
+  /// themselves pin parent and curr.
+  bool execOrVex() {
+    if (opt_.reduceValidation)
+      return opt_.useHtmFastPath ? execFast() : pathcas::exec();
+    return vex();
+  }
+
+  /// In-order walk of the subtrees overlapping [lo, hi], visiting every node
+  /// examined; collected pairs are only meaningful if validation succeeds.
+  void collectRange(Node* n, K lo, K hi, std::vector<std::pair<K, V>>& out) {
+    if (n == nullptr) return;
+    visit(n);
+    const K k = n->key.load();
+    if (k > lo) collectRange(n->left.load(), lo, hi, out);
+    if (k >= lo && k <= hi) out.emplace_back(k, n->val.load());
+    if (k < hi) collectRange(n->right.load(), lo, hi, out);
+  }
+
+  /// Walk the tree checking BST order, sentinel structure and that no
+  /// reachable node is marked; `check(n, parent)` adds the tree's own
+  /// per-node checks. Aborts (PATHCAS_CHECK) on violations. Returns
+  /// statistics.
+  template <typename Check>
+  TreeStats walkInvariants(Check&& check) const {
+    PATHCAS_CHECK(maxRoot_->left.load() == minRoot_);
+    PATHCAS_CHECK(maxRoot_->right.load() == nullptr);
+    PATHCAS_CHECK(minRoot_->left.load() == nullptr);
+    TreeStats stats;
+    std::uint64_t depthSum = 0;
+    walk(minRoot_->right.load(), minRoot_, kNegInf, kPosInf, 1, stats,
+         depthSum, check);
+    stats.avgKeyDepth =
+        stats.size ? static_cast<double>(depthSum) / stats.size : 0.0;
+    stats.footprintBytes = (stats.nodeCount + 2) * sizeof(Node);
+    return stats;
+  }
+
+  template <typename Check>
+  static void walk(Node* n, Node* parent, K lo, K hi, std::uint64_t depth,
+                   TreeStats& stats, std::uint64_t& depthSum, Check& check) {
+    if (n == nullptr) return;
+    const K k = n->key.load();
+    PATHCAS_CHECK(k > lo && k < hi);
+    PATHCAS_CHECK(!isMarked(n->ver.load()));
+    check(n, parent);
+    ++stats.size;
+    ++stats.nodeCount;
+    stats.keySum += static_cast<std::int64_t>(k);
+    depthSum += depth;
+    stats.height = std::max(stats.height, depth);
+    walk(n->left.load(), n, lo, k, depth + 1, stats, depthSum, check);
+    walk(n->right.load(), n, k, hi, depth + 1, stats, depthSum, check);
+  }
+
+  static void forEachRec(Node* n, const std::function<void(K, V)>& f) {
+    if (n == nullptr) return;
+    forEachRec(n->left.load(), f);
+    f(n->key.load(), n->val.load());
+    forEachRec(n->right.load(), f);
+  }
+
+  void freeSubtree(Node* n) {
+    if (n == nullptr) return;
+    freeSubtree(n->left.load());
+    freeSubtree(n->right.load());
+    pool_.destroy(n);
+  }
+
+  IntBstOptions opt_;
+  recl::EbrDomain& ebr_;
+  recl::NodePool<Node>& pool_;
+  Node* maxRoot_;
+  Node* minRoot_;
+};
+
+}  // namespace pathcas::ds

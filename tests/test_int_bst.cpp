@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -266,14 +267,26 @@ TEST(IntBstConcurrent, StablePresentKeysAlwaysFound) {
       }
     });
   }
+  // get() races the churn's two-child erases, which swap a node's key and
+  // value in place; churn inserts value == key, so any other answer is a
+  // torn ⟨key, value⟩ pair.
+  std::uint64_t tornGets = 0;
   {
     ThreadGuard tg;
+    Xoshiro256 rng(99);
     for (int i = 0; i < 20000; ++i) {
       ASSERT_TRUE(t.contains(stable[i % stable.size()]));
+      for (int j = 0; j < 8; ++j) {
+        std::int64_t k = static_cast<std::int64_t>(rng.nextBounded(600));
+        if (k % 100 == 0) ++k;
+        const std::optional<std::int64_t> v = t.get(k);
+        if (v.has_value() && *v != k) ++tornGets;
+      }
     }
   }
   stop.store(true);
   for (auto& th : churn) th.join();
+  EXPECT_EQ(tornGets, 0u) << "get() returned another key's value";
   t.checkInvariants();
 }
 

@@ -371,37 +371,61 @@ TEST(ReadPath, LoadAndVisitHelpUntilTheDescriptorClears) {
 
 // One writer commits 4-word exec()s, each moving two nodes' values and
 // versions together; its descriptors sit on the words while readers load
-// and visit them. A tag read as a value would decode far past kCommits, and
-// a validated snapshot must see both nodes at the same commit.
+// and visit them. A tag read as a value would decode far past kMaxCommits,
+// and a validated snapshot must see both nodes at the same commit. The
+// writer's kCommits can all land before a reader is first scheduled, so it
+// keeps committing, paced, until every reader has validated once, bounded
+// by kMaxCommits and a deadline.
 TEST(ReadPath, ReadersNeverSeeTaggedOrTornValuesUnderCommits) {
   constexpr std::int64_t kCommits = 20000;
+  // A descriptor reference decodes to at least 2^16 (a nonzero sequence
+  // number above 16 tid bits); versions reach 2 * kMaxCommits, so
+  // kMaxCommits stays below 2^15 for a tag to fail the bounds checks.
+  constexpr std::int64_t kMaxCommits = 32000;
+  constexpr int kReaders = 2;
   TNode a, b;
   std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> validated{0};
+  std::atomic<std::uint64_t> validated[kReaders] = {};
+  std::int64_t commits = 0;
   std::thread writer([&] {
     ThreadGuard tg;
-    for (std::int64_t i = 0; i < kCommits; ++i) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    const auto someReaderStarved = [&] {
+      for (const auto& v : validated)
+        if (v.load(std::memory_order_relaxed) == 0) return true;
+      return false;
+    };
+    for (std::int64_t i = 0; i < kMaxCommits; ++i) {
+      if (i >= kCommits) {
+        if (!someReaderStarved() ||
+            std::chrono::steady_clock::now() > deadline) {
+          break;
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
       start();
       add(a.val, i, i + 1);
       add(b.val, i, i + 1);
       addVer(a.ver, static_cast<Version>(2 * i), static_cast<Version>(2 * i + 2));
       addVer(b.ver, static_cast<Version>(2 * i), static_cast<Version>(2 * i + 2));
       ASSERT_TRUE(exec());  // the only writer: every commit succeeds
+      commits = i + 1;
     }
     stop.store(true, std::memory_order_release);
   });
   std::vector<std::thread> readers;
-  for (int t = 0; t < 2; ++t) {
-    readers.emplace_back([&] {
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
       ThreadGuard tg;
       std::int64_t lastA = 0;
       while (!stop.load(std::memory_order_acquire)) {
         const std::int64_t la = a.val.load();
         const std::int64_t lb = b.val.load();
         ASSERT_GE(la, lastA);  // a word only grows
-        ASSERT_LE(la, kCommits);
+        ASSERT_LE(la, kMaxCommits);
         ASSERT_GE(lb, 0);
-        ASSERT_LE(lb, kCommits);
+        ASSERT_LE(lb, kMaxCommits);
         lastA = la;
 
         start();
@@ -409,8 +433,8 @@ TEST(ReadPath, ReadersNeverSeeTaggedOrTornValuesUnderCommits) {
         const Version vb = visitVer(b.ver);
         const std::int64_t sa = a.val;
         const std::int64_t sb = b.val;
-        ASSERT_LE(va, static_cast<Version>(2 * kCommits));
-        ASSERT_LE(vb, static_cast<Version>(2 * kCommits));
+        ASSERT_LE(va, static_cast<Version>(2 * kMaxCommits));
+        ASSERT_LE(vb, static_cast<Version>(2 * kMaxCommits));
         ASSERT_FALSE(isMarked(va) || isMarked(vb));
         Version rec[2] = {1, 1};
         int nrec = 0;
@@ -425,16 +449,19 @@ TEST(ReadPath, ReadersNeverSeeTaggedOrTornValuesUnderCommits) {
           ASSERT_EQ(va, vb);
           ASSERT_EQ(sa, sb);
           ASSERT_EQ(va, static_cast<Version>(2 * sa));
-          validated.fetch_add(1, std::memory_order_relaxed);
+          validated[t].fetch_add(1, std::memory_order_relaxed);
         }
       }
     });
   }
   writer.join();
   for (auto& r : readers) r.join();
-  EXPECT_GT(validated.load(), 0u);
-  EXPECT_EQ(a.val.load(), kCommits);
-  EXPECT_EQ(b.ver.load(), static_cast<Version>(2 * kCommits));
+  for (int t = 0; t < kReaders; ++t) {
+    EXPECT_GT(validated[t].load(), 0u)
+        << "reader " << t << " never validated in " << commits << " commits";
+  }
+  EXPECT_EQ(a.val.load(), commits);
+  EXPECT_EQ(b.ver.load(), static_cast<Version>(2 * commits));
 }
 
 #ifndef NDEBUG
