@@ -6,9 +6,9 @@
 //                    (TrialConfig.batch ∈ PATHCAS_BENCH_BATCH, default
 //                    1,8,64,256,1024). batch=1 is the per-op k=1 fast-path
 //                    baseline; batch≥2 nets the window per key, then routes
-//                    the sorted run through updateBatch (BST: one mixed
-//                    traversal, one wide KCAS per chunk) or
-//                    eraseBatch+insertBatch (AVL). Rows: combine_window=0.
+//                    the sorted run through updateBatch (one mixed
+//                    traversal, one wide KCAS per chunk, on both trees).
+//                    Rows: combine_window=0.
 //   combining        sharded frontends with per-shard flat combining
 //                    (Config::combineWindow 1 vs 32) under per-op
 //                    submissions (batch=1): the combiner merges concurrent

@@ -56,13 +56,6 @@ struct PathCasBstAdapter {
   ~PathCasBstAdapter() { recl::EbrDomain::instance().drainAll(); }
   bool insert(Key k, Val v) { return tree.insert(k, v); }
   bool erase(Key k) { return tree.erase(k); }
-  std::size_t insertBatch(const Key* ks, const Val* vs, std::size_t n,
-                          bool* out) {
-    return tree.insertBatch(ks, vs, n, out);
-  }
-  std::size_t eraseBatch(const Key* ks, std::size_t n, bool* out) {
-    return tree.eraseBatch(ks, n, out);
-  }
   std::size_t updateBatch(const Key* ks, const Val* vs, const bool* isInsert,
                           std::size_t n, bool* out) {
     return tree.updateBatch(ks, vs, isInsert, n, out);
@@ -89,12 +82,9 @@ struct PathCasAvlAdapter {
   ~PathCasAvlAdapter() { recl::EbrDomain::instance().drainAll(); }
   bool insert(Key k, Val v) { return tree.insert(k, v); }
   bool erase(Key k) { return tree.erase(k); }
-  std::size_t insertBatch(const Key* ks, const Val* vs, std::size_t n,
-                          bool* out) {
-    return tree.insertBatch(ks, vs, n, out);
-  }
-  std::size_t eraseBatch(const Key* ks, std::size_t n, bool* out) {
-    return tree.eraseBatch(ks, n, out);
+  std::size_t updateBatch(const Key* ks, const Val* vs, const bool* isInsert,
+                          std::size_t n, bool* out) {
+    return tree.updateBatch(ks, vs, isInsert, n, out);
   }
   bool contains(Key k) { return tree.contains(k); }
   std::size_t rangeQuery(Key lo, Key hi, RqOut& out) {
@@ -227,12 +217,9 @@ struct ShardedAdapterBase {
 
   bool insert(Key k, Val v) { return map.insert(k, v); }
   bool erase(Key k) { return map.erase(k); }
-  std::size_t insertBatch(const Key* ks, const Val* vs, std::size_t n,
-                          bool* out) {
-    return map.insertBatch(ks, vs, n, out);
-  }
-  std::size_t eraseBatch(const Key* ks, std::size_t n, bool* out) {
-    return map.eraseBatch(ks, n, out);
+  std::size_t updateBatch(const Key* ks, const Val* vs, const bool* isInsert,
+                          std::size_t n, bool* out) {
+    return map.updateBatch(ks, vs, isInsert, n, out);
   }
   bool contains(Key k) { return map.contains(k); }
   std::size_t rangeQuery(Key lo, Key hi, RqOut& out) {

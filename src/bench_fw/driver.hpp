@@ -358,23 +358,12 @@ concept HasBulkLoad = requires(Set s, std::vector<std::int64_t> keys) {
   { s.bulkLoad(keys, int{}) } -> std::convertible_to<std::int64_t>;
 };
 
-/// Structures exposing sorted-run group commits (the trees' and the sharded
-/// map's insertBatch/eraseBatch). Only these honour TrialConfig::batch > 1.
+/// Structures exposing the sorted-run group commit (the trees' and the
+/// sharded map's updateBatch): one sorted run carrying per-op insert/erase
+/// flags, staged in a single traversal with one wide KCAS per chunk. Only
+/// these honour TrialConfig::batch > 1.
 template <typename Set>
 concept HasBatchOps =
-    requires(Set s, const std::int64_t* ks, const std::int64_t* vs,
-             std::size_t n, bool* out) {
-      { s.insertBatch(ks, vs, n, out) } -> std::convertible_to<std::size_t>;
-      { s.eraseBatch(ks, n, out) } -> std::convertible_to<std::size_t>;
-    };
-
-/// Structures additionally exposing the mixed-run group commit (int_bst's
-/// updateBatch): one sorted run carrying per-op insert/erase flags, staged
-/// in a single traversal with one wide KCAS per chunk. When present, the
-/// window flush issues one merged run instead of an erase run followed by
-/// an insert run — halving the traversals the flush pays.
-template <typename Set>
-concept HasUpdateBatch =
     requires(Set s, const std::int64_t* ks, const std::int64_t* vs,
              const bool* ins, std::size_t n, bool* out) {
       {
@@ -518,9 +507,8 @@ TrialResult runTrial(Set& set, const TrialConfig& cfg,
       // not observed any of their results yet), so the flush nets them
       // per key — the LAST op on a key decides its final presence, and the
       // earlier ops on that key linearize immediately before it, mutually
-      // cancelling — then submits the net ops: one merged sorted run when
-      // the structure has updateBatch, else one sorted erase run and one
-      // sorted insert run (the same elimination argument as the ShardedMap
+      // cancelling — then submits the net ops as one merged sorted
+      // updateBatch run (the same elimination argument as the ShardedMap
       // combiner).
       // Stats and keysum are settled from the net-op outcomes: a key's
       // keysum contribution changes exactly when its net op succeeds.
@@ -536,15 +524,14 @@ TrialResult runTrial(Set& set, const TrialConfig& cfg,
       const std::size_t batchW =
           static_cast<std::size_t>(std::max(cfg.batch, 1));
       std::vector<WinOp> winBuf;
-      std::vector<std::int64_t> erKeys, insKeys, insVals;
-      std::unique_ptr<bool[]> outBuf, insFlag;
+      std::vector<std::int64_t> netKeys, netVals;
+      std::unique_ptr<bool[]> outBuf, netIns;
       if (batching) {
         winBuf.reserve(batchW);
-        erKeys.reserve(batchW);
-        insKeys.reserve(batchW);
-        insVals.reserve(batchW);
+        netKeys.reserve(batchW);
+        netVals.reserve(batchW);
         outBuf = std::make_unique<bool[]>(batchW);
-        insFlag = std::make_unique<bool[]>(batchW);
+        netIns = std::make_unique<bool[]>(batchW);
       }
       // Arrival/admission mode flags. Open-loop time runs in NANOSECONDS
       // through TtlClock (real mode: calibrated tsc; virtual mode: the test
@@ -581,61 +568,29 @@ TrialResult runTrial(Set& set, const TrialConfig& cfg,
                     [](const WinOp& a, const WinOp& b) {
                       return a.key != b.key ? a.key < b.key : a.seq < b.seq;
                     });
-          if constexpr (HasUpdateBatch<Set>) {
-            // Merged flush: the net ops stay one sorted run with per-op
-            // insert/erase flags, so the structure stages both kinds in a
-            // single traversal — one wide KCAS per chunk covers the lot.
-            insKeys.clear();
-            insVals.clear();
-            std::size_t m = 0;
-            for (std::size_t i = 0; i < winBuf.size(); ++i) {
-              if (i + 1 < winBuf.size() && winBuf[i + 1].key == winBuf[i].key)
-                continue;  // not the last op on this key: annihilated
-              insKeys.push_back(winBuf[i].key);
-              insVals.push_back(winBuf[i].val);
-              insFlag[m++] = winBuf[i].isInsert;
-            }
-            my.opsApplied += m;  // survivors execute; annihilated ops do not
-            set.updateBatch(insKeys.data(), insVals.data(), insFlag.get(), m,
-                            outBuf.get());
-            for (std::size_t i = 0; i < m; ++i) {
-              if (!outBuf[i]) continue;
-              if (insFlag[i]) {
-                my.keysumDelta += insKeys[i];
-                keys.noteInsert(insKeys[i]);
-              } else {
-                my.keysumDelta -= insKeys[i];
-              }
-            }
-          } else {
-            erKeys.clear();
-            insKeys.clear();
-            insVals.clear();
-            for (std::size_t i = 0; i < winBuf.size(); ++i) {
-              if (i + 1 < winBuf.size() && winBuf[i + 1].key == winBuf[i].key)
-                continue;  // not the last op on this key: annihilated
-              if (winBuf[i].isInsert) {
-                insKeys.push_back(winBuf[i].key);
-                insVals.push_back(winBuf[i].val);
-              } else {
-                erKeys.push_back(winBuf[i].key);
-              }
-            }
-            my.opsApplied += erKeys.size() + insKeys.size();
-            if (!erKeys.empty()) {
-              set.eraseBatch(erKeys.data(), erKeys.size(), outBuf.get());
-              for (std::size_t i = 0; i < erKeys.size(); ++i)
-                if (outBuf[i]) my.keysumDelta -= erKeys[i];
-            }
-            if (!insKeys.empty()) {
-              set.insertBatch(insKeys.data(), insVals.data(), insKeys.size(),
-                              outBuf.get());
-              for (std::size_t i = 0; i < insKeys.size(); ++i) {
-                if (outBuf[i]) {
-                  my.keysumDelta += insKeys[i];
-                  keys.noteInsert(insKeys[i]);
-                }
-              }
+          // Merged flush: the net ops stay one sorted run with per-op
+          // insert/erase flags, so the structure stages both kinds in a
+          // single traversal — one wide KCAS per chunk covers the lot.
+          netKeys.clear();
+          netVals.clear();
+          std::size_t m = 0;
+          for (std::size_t i = 0; i < winBuf.size(); ++i) {
+            if (i + 1 < winBuf.size() && winBuf[i + 1].key == winBuf[i].key)
+              continue;  // not the last op on this key: annihilated
+            netKeys.push_back(winBuf[i].key);
+            netVals.push_back(winBuf[i].val);
+            netIns[m++] = winBuf[i].isInsert;
+          }
+          my.opsApplied += m;  // survivors execute; annihilated ops do not
+          set.updateBatch(netKeys.data(), netVals.data(), netIns.get(), m,
+                          outBuf.get());
+          for (std::size_t i = 0; i < m; ++i) {
+            if (!outBuf[i]) continue;
+            if (netIns[i]) {
+              my.keysumDelta += netKeys[i];
+              keys.noteInsert(netKeys[i]);
+            } else {
+              my.keysumDelta -= netKeys[i];
             }
           }
           // Every op in the window — survivor or annihilated — completes at

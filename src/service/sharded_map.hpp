@@ -211,33 +211,21 @@ class ShardedMap {
   // combiner lock serializes these with combined windows.
   // ----------------------------------------------------------------------
 
-  /// insertIfAbsent over a strictly-ascending key run; outcomes[i] true iff
-  /// keys[i] was inserted. Returns the number of insertions. Atomicity is
-  /// per tree-level chunk, not across the whole run.
-  std::size_t insertBatch(const K* keys, const V* vals, std::size_t n,
-                          bool* outcomes) {
-    std::size_t inserted = 0;
+  /// Mixed update over a strictly-ascending key run: op i inserts
+  /// (isInsert[i]) or erases keys[i]; outcomes[i] true iff op i took
+  /// effect. Returns the number of effective ops. Atomicity is per
+  /// tree-level chunk, not across the whole run.
+  std::size_t updateBatch(const K* keys, const V* vals, const bool* isInsert,
+                          std::size_t n, bool* outcomes) {
+    std::size_t applied = 0;
     forEachShardSlice(keys, n, [&](int s, std::size_t lo, std::size_t hi) {
       Shard& sh = *shards_[static_cast<std::size_t>(s)];
       CombinerLockGuard lock(*this, sh);
       k::ScopedDomain scope(sh.set->kcas());
-      inserted +=
-          sh.tree->insertBatch(keys + lo, vals + lo, hi - lo, outcomes + lo);
+      applied += sh.tree->updateBatch(keys + lo, vals + lo, isInsert + lo,
+                                      hi - lo, outcomes + lo);
     });
-    return inserted;
-  }
-
-  /// delete over a strictly-ascending key run; outcomes[i] true iff keys[i]
-  /// was removed. Returns the number of removals.
-  std::size_t eraseBatch(const K* keys, std::size_t n, bool* outcomes) {
-    std::size_t erased = 0;
-    forEachShardSlice(keys, n, [&](int s, std::size_t lo, std::size_t hi) {
-      Shard& sh = *shards_[static_cast<std::size_t>(s)];
-      CombinerLockGuard lock(*this, sh);
-      k::ScopedDomain scope(sh.set->kcas());
-      erased += sh.tree->eraseBatch(keys + lo, hi - lo, outcomes + lo);
-    });
-    return erased;
+    return applied;
   }
 
   // ----------------------------------------------------------------------

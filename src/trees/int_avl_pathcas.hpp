@@ -6,9 +6,10 @@
 // parent pointers toward the root until a violation-free node is reached.
 //
 // That base is trees/internal_tree_core.hpp, shared with the BST: the reads,
-// scans, per-op insert and insertBatch/eraseBatch. This header keeps the
-// node type, erase(), the erase shapes a batch may stage, rebalancing, and
-// the core's two hooks (adopt: parent word and height; afterCommit).
+// scans, per-op insert and the batch engine (insertBatch, eraseBatch,
+// updateBatch). This header keeps the node type, erase(), rebalancing, and
+// the core's hooks (adopt: parent word and height; afterCommit: rebalance;
+// unlinksInPlace: leaves only).
 //
 // Deviations from the paper's pseudocode (which contains typos) are
 // normalized to one rule: ANY node whose fields change in a vexec — including
@@ -20,7 +21,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <initializer_list>
-#include <vector>
 
 #include "pathcas/pathcas.hpp"
 #include "recl/ebr.hpp"
@@ -183,12 +183,9 @@ class IntAvlPathCas
   static constexpr const char* name() { return "int-avl-pathcas"; }
 
  private:
-  using typename Core::EraseFrame, typename Core::EraseScratch,
-      typename Core::SearchResult, typename Core::StageStatus,
-      typename Core::Successor;
+  using typename Core::SearchResult, typename Core::Successor;
   using Core::ebr_, Core::execOrVex, Core::getSuccessor, Core::maxRoot_,
-      Core::minRoot_, Core::pool_, Core::search, Core::stageBudgetLeft,
-      Core::vex;
+      Core::minRoot_, Core::pool_, Core::search, Core::vex;
 
   enum class FixResult { kSuccess, kFailure, kUnnecessary };
 
@@ -202,75 +199,13 @@ class IntAvlPathCas
   }
   void afterCommit(Node* n) { rebalance(n); }
 
-  // ------------------------------------------------------------------
-  // Batched erase: the AVL's deltas from the core's protocol (see the
-  // "Batched commits" section of docs/ARCHITECTURE.md). Inserted runs
-  // become height-annotated balanced subtrees whose attach points are
-  // rebalanced after the commit (afterCommit), and only LEAF removals are
-  // staged in the wide KCAS — a one-child splice retargets the kept child's
-  // parent word, which may already carry a staged version bump from the
-  // child's own subtree in the same batch (an address staged twice is
-  // undefined), so one-child and two-child removals defer to per-op erase().
-  // ------------------------------------------------------------------
-
-  StageStatus stageEraseNode(Node* node, Version nodeVer, const K* keys,
-                             std::size_t lo, std::size_t hi, EraseScratch& sc,
-                             EraseFrame& fr) {
-    if (isMarked(nodeVer)) return StageStatus::kRetry;
-    const K nodeKey = node->key;
-    const std::size_t mid = static_cast<std::size_t>(
-        std::lower_bound(keys + lo, keys + hi, nodeKey) - keys);
-    const bool matched = mid < hi && keys[mid] == nodeKey;
-    const std::size_t rlo = matched ? mid + 1 : mid;
-    Node* const left = node->left.load();
-    Node* const right = node->right.load();
-    bool childStaged = false;
-    if (lo < mid && left != nullptr) {
-      const StageStatus s = stageEraseEdge(node, node->left, left, keys, lo,
-                                           mid, sc, childStaged);
-      if (s != StageStatus::kOk) return s;
-    }
-    if (rlo < hi && right != nullptr) {
-      const StageStatus s = stageEraseEdge(node, node->right, right, keys,
-                                           rlo, hi, sc, childStaged);
-      if (s != StageStatus::kOk) return s;
-    }
-    if (matched) {
-      if (!childStaged && left == nullptr && right == nullptr) {
-        if (!stageBudgetLeft(*sc.dom, 2)) return StageStatus::kOverflow;
-        // Leaf: mark node; the parent frame swings its slot and bumps its
-        // own version. Matches the per-op leaf-deletion entry set exactly.
-        addVer(node->ver, nodeVer, verMark(nodeVer));
-        fr.removed = true;
-        sc.unlink.push_back(node);
-        sc.stagedIdx.push_back(mid);
-        return StageStatus::kOk;
-      }
-      // One-child / two-child / touched-by-this-batch: per-op fallback.
-      sc.deferredIdx.push_back(mid);
-    }
-    if (childStaged) {
-      if (!stageBudgetLeft(*sc.dom)) return StageStatus::kOverflow;
-      addVer(node->ver, nodeVer, verBump(nodeVer));
-    }
-    return StageStatus::kOk;
-  }
-
-  StageStatus stageEraseEdge(Node* node, casword<Node*>& slot, Node* child,
-                             const K* keys, std::size_t lo, std::size_t hi,
-                             EraseScratch& sc, bool& childStaged) {
-    if (!stageBudgetLeft(*sc.dom, 2)) return StageStatus::kOverflow;
-    const Version childVer = visit(child);
-    EraseFrame cf;
-    const StageStatus s =
-        stageEraseNode(child, childVer, keys, lo, hi, sc, cf);
-    if (s != StageStatus::kOk) return s;
-    if (cf.removed) {
-      add(slot, child, static_cast<Node*>(nullptr));
-      sc.rebal.push_back(node);
-      childStaged = true;
-    }
-    return StageStatus::kOk;
+  // A batch chunk unlinks only leaves in place: a one-child splice
+  // retargets the kept child's parent word, which may already carry a
+  // staged version bump from the child's own subtree in the same chunk (an
+  // address staged twice is undefined), so one-child and two-child removals
+  // defer to per-op erase().
+  static bool unlinksInPlace(const Node* left, const Node* right) {
+    return left == nullptr && right == nullptr;
   }
 
   static std::int64_t heightOf(Node* n) {

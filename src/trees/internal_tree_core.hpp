@@ -5,16 +5,21 @@
 // Node, K, V> (CRTP), so the trees differ only where their algorithms do.
 //
 // The core owns the sentinels, the EBR and pool members, the reads, the
-// range scans, per-op insert and the insertBatch/eraseBatch machinery. Each
-// tree keeps its node type, erase(), and the erase shapes one batch may
-// stage. The core calls into a tree only through:
+// range scans, per-op insert and the one batch engine behind insertBatch,
+// eraseBatch and updateBatch. Each tree keeps its node type, erase(), and
+// which matched nodes one batch chunk may unlink in place. The core calls
+// into a tree only through:
 //   static adopt(n, parent, l, r) — finish a still-private node about to be
 //       linked under `parent`, children l and r set (AVL: parent word and
 //       height; BST: nothing);
 //   afterCommit(n) — after a committed insert or batch changed n's child
 //       slots (AVL: rebalance(n); BST: nothing);
-//   stageEraseNode(...) — stage one eraseRun partition; the removals it
-//       defers run through the tree's erase() after the commit.
+//   static unlinksInPlace(l, r) — may a batch chunk unlink a matched node
+//       with children l and r in place (BST: a leaf or one-child node; AVL:
+//       a leaf only)? The other removals defer to the tree's erase() after
+//       the chunk commits, except a two-child match in a singleton
+//       partition, which goes to stageEraseTwoChild: the core's defers, the
+//       BST hides it with the in-batch successor swap.
 //
 // Structure: two sentinels — maxRoot (key +inf) whose left child is minRoot
 // (key -inf); all real keys live in minRoot's right subtree. Every node
@@ -222,8 +227,9 @@ class InternalTreeCore {
   // run. Chunks wider than batchOpsPerCommit — and chunks that overflow
   // the staging budget or keep losing their commit — are split in half
   // and retried, degrading to per-op insert()/erase() at width 1, so a
-  // conflicted batch can never livelock the per-op fast paths. See the
-  // "Batched commits" section of docs/ARCHITECTURE.md.
+  // conflicted batch can never livelock the per-op fast paths. The three
+  // APIs run one engine (runBatch) and differ only in their op kinds. See
+  // the "Batched commits" section of docs/ARCHITECTURE.md.
   // ------------------------------------------------------------------
 
   /// insertIfAbsent over a strictly-ascending key run. outcomes[i] is set
@@ -232,31 +238,32 @@ class InternalTreeCore {
   /// single KCAS; separate chunks linearize independently, in key order.
   std::size_t insertBatch(const K* keys, const V* vals, std::size_t n,
                           bool* outcomes) {
-    checkBatchKeys(keys, n);
-    for (std::size_t i = 0; i < n; ++i) outcomes[i] = false;
-    const std::size_t chunk = batchChunkWidth();
-    std::size_t inserted = 0;
-    for (std::size_t i = 0; i < n; i += chunk)
-      inserted += insertRun(keys + i, vals + i, std::min(chunk, n - i),
-                            outcomes + i);
-    return inserted;
+    return runBatch(
+        {.keys = keys, .vals = vals, .allInsert = true, .out = outcomes}, n);
   }
 
   /// delete over a strictly-ascending key run. outcomes[i] is set true iff
   /// keys[i] was removed (false: absent); returns the number of removals.
-  /// The tree's stageEraseNode decides which removal shapes are staged into
+  /// The tree's unlinksInPlace rule decides which removals are staged into
   /// the chunk's wide KCAS; the rest — removals whose node was already
   /// touched by the same chunk (a child slot swing staged on it), and shapes
   /// the tree does not stage — fall back to per-op erase() immediately after
   /// the chunk commits.
   std::size_t eraseBatch(const K* keys, std::size_t n, bool* outcomes) {
-    checkBatchKeys(keys, n);
-    for (std::size_t i = 0; i < n; ++i) outcomes[i] = false;
-    const std::size_t chunk = batchChunkWidth();
-    std::size_t erased = 0;
-    for (std::size_t i = 0; i < n; i += chunk)
-      erased += eraseRun(keys + i, std::min(chunk, n - i), outcomes + i);
-    return erased;
+    return runBatch({.keys = keys, .out = outcomes}, n);
+  }
+
+  /// Mixed update over a strictly-ascending key run: op i inserts
+  /// (isInsert[i]) or erases keys[i]. One shared traversal stages the whole
+  /// chunk — both op kinds — into a single wide KCAS, so a netted
+  /// group-commit window pays one descent and one descriptor instead of an
+  /// erase pass plus an insert pass. outcomes[i] is set true iff op i took
+  /// effect (key inserted / removed); returns the number of effective ops.
+  std::size_t updateBatch(const K* keys, const V* vals, const bool* isInsert,
+                          std::size_t n, bool* outcomes) {
+    return runBatch(
+        {.keys = keys, .vals = vals, .isInsert = isInsert, .out = outcomes},
+        n);
   }
 
   // ------------------------------------------------------------------
@@ -346,7 +353,7 @@ class InternalTreeCore {
     }
   }
 
-  // --- batched-commit machinery -------------------------------------
+  // --- batch engine -------------------------------------------------
 
   /// Attempts per chunk before splitting; conflicts under contention are
   /// expected, and halving converges to the per-op paths quickly.
@@ -364,17 +371,11 @@ class InternalTreeCore {
     kOverflow  // staging budget: deterministic, split without retrying
   };
 
-  /// `dom` is the run's cached domain reference: the probe runs once per
+  /// `dom` is the call's cached domain reference: the probe runs once per
   /// visited node, and re-resolving the thread-local domain each time costs
   /// more than the comparison itself.
   static bool stageBudgetLeft(k::DefaultDomain& dom, int need = 1) {
     return dom.stagedFootprint() + need <= kBatchStageBudget;
-  }
-
-  std::size_t batchChunkWidth() const {
-    return opt_.batchOpsPerCommit > 1
-               ? static_cast<std::size_t>(opt_.batchOpsPerCommit)
-               : 1;
   }
 
   static void checkBatchKeys(const K* keys, std::size_t n) {
@@ -388,71 +389,162 @@ class InternalTreeCore {
 #endif
   }
 
-  /// One staged link: the inserts of keys[lo..hi), as one subtree hung from
-  /// a null child slot of `at` (the node afterCommit repairs from).
-  struct StagedLink {
-    std::size_t lo;
-    std::size_t hi;
-    Node* at;
+  /// One batch call: its ops, and what the current chunk attempt staged.
+  /// The vectors serve every chunk and split-in-half retry of the call.
+  struct BatchScratch {
+    const K* keys = nullptr;
+    const V* vals = nullptr;         // read for insert ops only
+    const bool* isInsert = nullptr;  // per-op kinds (updateBatch), or null:
+    bool allInsert = false;          // then every op has this one kind
+    bool* out = nullptr;
+    k::DefaultDomain* dom = nullptr;  // cached once per call (budget probes)
+    std::vector<std::size_t> staged{};    // ops this attempt staged
+    std::vector<std::size_t> deferred{};  // erases run per-op after commit
+    std::vector<Node*> built{};   // unpublished subtree roots (freed on abort)
+    std::vector<Node*> unlink{};  // staged-out nodes (retired on commit)
+    std::vector<Node*> repair{};  // afterCommit roots: attach points and the
+                                  // parents of unlinked nodes
+
+    bool insertOp(std::size_t i) const {
+      return isInsert != nullptr ? isInsert[i] : allInsert;
+    }
+    bool onlyInserts(std::size_t lo, std::size_t hi) const {
+      if (isInsert == nullptr) return allInsert;
+      return std::all_of(isInsert + lo, isInsert + hi, [](bool b) { return b; });
+    }
+    void clear() {
+      staged.clear();
+      deferred.clear();
+      built.clear();
+      unlink.clear();
+      repair.clear();
+    }
   };
 
-  struct InsertScratch {
-    k::DefaultDomain* dom = nullptr;  // cached once per run (budget probes)
-    std::vector<Node*> built;  // unpublished subtree roots (freed on abort)
-    std::vector<StagedLink> staged;  // outcome ranges and attach points
+  struct EraseFrame {
+    bool removed = false;
+    Node* repl = nullptr;  // what the parent should swing its slot to
   };
 
-  void discardInsertAttempt(InsertScratch& sc) {
+  std::size_t runBatch(BatchScratch sc, std::size_t n) {
+    checkBatchKeys(sc.keys, n);
+    std::fill_n(sc.out, n, false);
+    sc.dom = &domain();
+    const std::size_t chunk =
+        opt_.batchOpsPerCommit > 1
+            ? static_cast<std::size_t>(opt_.batchOpsPerCommit)
+            : 1;
+    std::size_t applied = 0;
+    for (std::size_t lo = 0; lo < n; lo += chunk)
+      applied += batchRun(lo, std::min(lo + chunk, n), sc);
+    return applied;
+  }
+
+  /// Stage ops [lo, hi) as one chunk and commit it; returns the number of
+  /// ops that took effect.
+  std::size_t batchRun(std::size_t lo, std::size_t hi, BatchScratch& sc) {
+    if (hi - lo == 1) {  // degraded to the per-op commit (k=1 fast path)
+      const K key = sc.keys[lo];
+      sc.out[lo] =
+          sc.insertOp(lo) ? insert(key, sc.vals[lo]) : self().erase(key);
+      return sc.out[lo] ? 1u : 0u;
+    }
+    auto guard = ebr_.pin();
+    // A chunk that stages nothing still needs a validated traversal as the
+    // witness of its absent erase keys (same rule as erase()); a chunk of
+    // present inserts alone skips it under §4.1, as insert() does.
+    const bool witness = !(opt_.reduceValidation && sc.onlyInserts(lo, hi));
+    for (int attempt = 0; attempt < kBatchRetries; ++attempt) {
+      start();
+      const Version rootVer = visit(minRoot_);
+      EraseFrame rootFrame;
+      const StageStatus s =
+          stageBatchNode(minRoot_, rootVer, lo, hi, sc, rootFrame);
+      PATHCAS_DCHECK(!rootFrame.removed);  // minRoot's key is a sentinel
+      if (s == StageStatus::kOk &&
+          (sc.staged.empty() ? !witness || validate() : vex()))
+        return finishBatchRun(sc);
+      discardBatchAttempt(sc);
+      // Overflow is deterministic: retrying the same width cannot help.
+      if (s == StageStatus::kOverflow) break;
+    }
+    const std::size_t mid = lo + (hi - lo) / 2;  // split-and-retry
+    return batchRun(lo, mid, sc) + batchRun(mid, hi, sc);
+  }
+
+  std::size_t finishBatchRun(BatchScratch& sc) {
+    for (Node* dead : sc.unlink) ebr_.retire(dead, pool_);
+    // An attached subtree is internally balanced but may unbalance the path
+    // above its attach point, and an unlink shortens the path above its
+    // parent: repair from there (the AVL's Bougé walk-up).
+    for (Node* n : sc.repair) self().afterCommit(n);
+    std::size_t applied = sc.staged.size();
+    for (std::size_t i : sc.staged) sc.out[i] = true;
+    for (std::size_t i : sc.deferred) {
+      sc.out[i] = self().erase(sc.keys[i]);
+      if (sc.out[i]) ++applied;
+    }
+    sc.clear();  // the built subtrees are shared now
+    return applied;
+  }
+
+  void discardBatchAttempt(BatchScratch& sc) {
     for (Node* n : sc.built) freeSubtree(n);
-    sc.built.clear();
-    sc.staged.clear();
+    sc.clear();
   }
 
-  /// Balanced subtree of keys[lo..hi), built privately under `parent`
-  /// (setInitial, then adopt): it only becomes shared if the staged link to
-  /// it commits.
-  Node* buildSubtree(const K* keys, const V* vals, std::size_t lo,
-                     std::size_t hi, Node* parent) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    Node* const n = pool_.alloc(keys[mid], vals[mid]);
-    Node* l = nullptr;
-    Node* r = nullptr;
-    if (lo < mid) {
-      l = buildSubtree(keys, vals, lo, mid, n);
-      n->left.setInitial(l);
-    }
-    if (mid + 1 < hi) {
-      r = buildSubtree(keys, vals, mid + 1, hi, n);
-      n->right.setInitial(r);
-    }
-    Derived::adopt(n, parent, l, r);
-    return n;
-  }
-
-  /// Stage the inserts of keys[lo..hi) under `node` (already visited at
-  /// nodeVer by the caller). Each key run partitions around node->key; a run
-  /// landing on a null child slot becomes one staged link to a prebuilt
-  /// subtree. Every node whose child slot changes gets exactly one version
-  /// bump, so no address is staged twice.
-  StageStatus stageInsertNode(Node* node, Version nodeVer, const K* keys,
-                              const V* vals, std::size_t lo, std::size_t hi,
-                              InsertScratch& sc) {
+  /// Stage ops [lo, hi) under `node` (already visited at nodeVer by the
+  /// caller). The ops partition around node->key and recurse left and
+  /// right, so ops sharing a path prefix share its visit()s. Bottom-up: a
+  /// removed child reports its replacement through `fr`, and the parent
+  /// stages the slot swing plus its own single version bump, so no address
+  /// is staged twice. An insert match is a present key (outcome false). An
+  /// erase match is unlinked in-batch only when the tree's unlinksInPlace
+  /// allows its shape AND none of its child slots were staged by this same
+  /// chunk (otherwise the swing would race the staged edit); the rest defer
+  /// to per-op erase(). Keys partitioned into a null child slot are absent
+  /// erases or new inserts.
+  StageStatus stageBatchNode(Node* node, Version nodeVer, std::size_t lo,
+                             std::size_t hi, BatchScratch& sc,
+                             EraseFrame& fr) {
     if (isMarked(nodeVer)) return StageStatus::kRetry;
     const K nodeKey = node->key;
     const std::size_t mid = static_cast<std::size_t>(
-        std::lower_bound(keys + lo, keys + hi, nodeKey) - keys);
-    std::size_t rlo = mid;
-    if (rlo < hi && keys[rlo] == nodeKey) ++rlo;  // present: outcome stays false
+        std::lower_bound(sc.keys + lo, sc.keys + hi, nodeKey) - sc.keys);
+    const bool matched = mid < hi && sc.keys[mid] == nodeKey;
+    const std::size_t rlo = matched ? mid + 1 : mid;
+    const bool eraseMatch = matched && !sc.insertOp(mid);
+    // Load only the child slots this node actually needs (both for an erase
+    // match — shape test and replacement — one per non-empty partition
+    // otherwise): the walk touches many pass-through nodes and a second
+    // slot load per node is a second cache miss per hop.
+    Node* const left = (eraseMatch || lo < mid) ? node->left.load() : nullptr;
+    Node* const right = (eraseMatch || rlo < hi) ? node->right.load() : nullptr;
     bool childStaged = false;
     if (lo < mid) {
-      const StageStatus s = stageInsertChild(node, node->left, keys, vals, lo,
-                                             mid, sc, childStaged);
+      const StageStatus s = stageBatchChild(node, node->left, left, lo, mid,
+                                            sc, childStaged);
       if (s != StageStatus::kOk) return s;
     }
     if (rlo < hi) {
-      const StageStatus s = stageInsertChild(node, node->right, keys, vals,
-                                             rlo, hi, sc, childStaged);
+      const StageStatus s = stageBatchChild(node, node->right, right, rlo, hi,
+                                            sc, childStaged);
       if (s != StageStatus::kOk) return s;
+    }
+    if (eraseMatch) {
+      if (childStaged || !Derived::unlinksInPlace(left, right)) {
+        sc.deferred.push_back(mid);
+      } else {
+        if (!stageBudgetLeft(*sc.dom, 2)) return StageStatus::kOverflow;
+        // Mark node; the parent frame swings its slot and bumps its own
+        // version. Matches the per-op entry set exactly.
+        addVer(node->ver, nodeVer, verMark(nodeVer));
+        fr.removed = true;
+        fr.repl = (left != nullptr) ? left : right;
+        sc.unlink.push_back(node);
+        sc.staged.push_back(mid);
+        return StageStatus::kOk;
+      }
     }
     if (childStaged) {
       if (!stageBudgetLeft(*sc.dom)) return StageStatus::kOverflow;
@@ -461,37 +553,72 @@ class InternalTreeCore {
     return StageStatus::kOk;
   }
 
-  StageStatus stageInsertChild(Node* node, casword<Node*>& slot,
-                               const K* keys, const V* vals, std::size_t lo,
-                               std::size_t hi, InsertScratch& sc,
-                               bool& childStaged) {
-    Node* const child = slot.load();
+  /// Stage ops [lo, hi) into node's child slot `slot`, which held `child`.
+  StageStatus stageBatchChild(Node* node, casword<Node*>& slot, Node* child,
+                              std::size_t lo, std::size_t hi, BatchScratch& sc,
+                              bool& childStaged) {
     if (child != nullptr) {
       if (!stageBudgetLeft(*sc.dom)) return StageStatus::kOverflow;
       const Version childVer = visit(child);
-      if (hi - lo == 1) return stageInsertOne(child, childVer, keys, vals, lo, sc);
-      return stageInsertNode(child, childVer, keys, vals, lo, hi, sc);
+      EraseFrame cf;
+      const StageStatus s =
+          hi - lo > 1       ? stageBatchNode(child, childVer, lo, hi, sc, cf)
+          : sc.insertOp(lo) ? stageInsertOne(child, childVer, lo, sc)
+                            : stageEraseOne(child, childVer, lo, sc, cf);
+      if (s != StageStatus::kOk) return s;
+      if (cf.removed) {
+        add(slot, child, cf.repl);
+        sc.repair.push_back(node);
+        childStaged = true;
+      }
+      return StageStatus::kOk;
     }
+    // Null slot: the partition's inserts become one prebuilt subtree; its
+    // erase keys are absent, witnessed by the validated path.
+    const std::size_t first = sc.staged.size();
+    for (std::size_t i = lo; i < hi; ++i)
+      if (sc.insertOp(i)) sc.staged.push_back(i);
+    if (sc.staged.size() == first) return StageStatus::kOk;
     if (!stageBudgetLeft(*sc.dom, 2)) return StageStatus::kOverflow;
-    Node* const sub = buildSubtree(keys, vals, lo, hi, node);
+    Node* const sub = buildSubtree(sc, first, sc.staged.size(), node);
     sc.built.push_back(sub);
-    sc.staged.push_back({lo, hi, node});
+    sc.repair.push_back(node);
     add(slot, static_cast<Node*>(nullptr), sub);
     childStaged = true;
     return StageStatus::kOk;
   }
 
-  /// Tight iterative descent once a partition has narrowed to one key — the
-  /// common case for every key below the batch's shared prefix. Matches
+  /// Balanced subtree of the inserts sc.staged[lo..hi), built privately
+  /// under `parent` (setInitial, then adopt): it only becomes shared if the
+  /// staged link to it commits.
+  Node* buildSubtree(const BatchScratch& sc, std::size_t lo, std::size_t hi,
+                     Node* parent) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    const std::size_t op = sc.staged[mid];
+    Node* const n = pool_.alloc(sc.keys[op], sc.vals[op]);
+    Node* l = nullptr;
+    Node* r = nullptr;
+    if (lo < mid) {
+      l = buildSubtree(sc, lo, mid, n);
+      n->left.setInitial(l);
+    }
+    if (mid + 1 < hi) {
+      r = buildSubtree(sc, mid + 1, hi, n);
+      n->right.setInitial(r);
+    }
+    Derived::adopt(n, parent, l, r);
+    return n;
+  }
+
+  /// Tight iterative descent once a partition has narrowed to one insert —
+  /// the common case for every key below the batch's shared prefix. Matches
   /// search()'s loop body: no partitioning, no recursion, one budget probe
-  /// per hop. The node whose null slot takes the link gets the one version
+  /// per hop. The node whose null slot takes the leaf gets the one version
   /// bump; it lies strictly inside this partition's subtree, which no other
-  /// partition touches, so no address is staged twice. Sc is InsertScratch
-  /// or the BST's MixedScratch (same field names).
-  template <typename Sc>
-  StageStatus stageInsertOne(Node* node, Version nodeVer, const K* keys,
-                             const V* vals, std::size_t i, Sc& sc) {
-    const K key = keys[i];
+  /// partition touches, so no address is staged twice.
+  StageStatus stageInsertOne(Node* node, Version nodeVer, std::size_t i,
+                             BatchScratch& sc) {
+    const K key = sc.keys[i];
     k::DefaultDomain& dom = *sc.dom;
     for (;;) {
       if (isMarked(nodeVer)) return StageStatus::kRetry;
@@ -501,10 +628,11 @@ class InternalTreeCore {
       Node* const child = slot.load();
       if (child == nullptr) {
         if (!stageBudgetLeft(dom, 2)) return StageStatus::kOverflow;
-        Node* const leaf = pool_.alloc(key, vals[i]);
+        Node* const leaf = pool_.alloc(key, sc.vals[i]);
         Derived::adopt(leaf, node, nullptr, nullptr);
         sc.built.push_back(leaf);
-        sc.staged.push_back({i, i + 1, node});
+        sc.staged.push_back(i);
+        sc.repair.push_back(node);
         add(slot, static_cast<Node*>(nullptr), leaf);
         addVer(node->ver, nodeVer, verBump(nodeVer));
         return StageStatus::kOk;
@@ -517,115 +645,70 @@ class InternalTreeCore {
     }
   }
 
-  std::size_t insertRun(const K* keys, const V* vals, std::size_t n,
-                        bool* out) {
-    if (n == 0) return 0;
-    if (n == 1) {  // degraded to the per-op commit (k=1 fast path)
-      out[0] = insert(keys[0], vals[0]);
-      return out[0] ? 1u : 0u;
-    }
-    auto guard = ebr_.pin();
-    InsertScratch sc;
-    sc.dom = &domain();
-    for (int attempt = 0; attempt < kBatchRetries; ++attempt) {
-      start();
-      const Version rootVer = visit(minRoot_);
-      const StageStatus s =
-          stageInsertNode(minRoot_, rootVer, keys, vals, 0, n, sc);
-      if (s == StageStatus::kOverflow) {
-        discardInsertAttempt(sc);
-        break;  // deterministic: retrying the same width cannot help
-      }
-      if (s == StageStatus::kRetry) {
-        discardInsertAttempt(sc);
-        continue;
-      }
-      if (sc.staged.empty()) {
-        // Every key already present; same witness rule as insert().
-        if (opt_.reduceValidation || validate()) return 0;
-        continue;
-      }
-      if (vex()) {
-        std::size_t inserted = 0;
-        for (const StagedLink& link : sc.staged) {
-          for (std::size_t i = link.lo; i < link.hi; ++i) {
-            out[i] = true;
-            ++inserted;
-          }
-          // An attached subtree is internally balanced but may unbalance
-          // the path above its attach point; repair from there (the AVL's
-          // Bougé walk-up).
-          self().afterCommit(link.at);
+  /// The erase counterpart, tracking (parent, parentVer) like the per-op
+  /// search. A match below the partition root stages the full per-op entry
+  /// set — mark, slot swing, parent bump — directly: the parent lies inside
+  /// this partition's subtree, which no other partition touches. A match AT
+  /// the partition root reports through `fr` instead, because the caller's
+  /// node owns that swing and may merge it with a bump for its other
+  /// partition (the usual bottom-up rule).
+  StageStatus stageEraseOne(Node* node, Version nodeVer, std::size_t i,
+                            BatchScratch& sc, EraseFrame& fr) {
+    const K key = sc.keys[i];
+    k::DefaultDomain& dom = *sc.dom;
+    Node* parent = nullptr;
+    Version parentVer = 0;
+    casword<Node*>* slot = nullptr;  // parent's slot holding `node`
+    for (;;) {
+      if (isMarked(nodeVer)) return StageStatus::kRetry;
+      const K nodeKey = node->key;
+      if (key == nodeKey) {
+        Node* const left = node->left.load();
+        Node* const right = node->right.load();
+        if (left != nullptr && right != nullptr)
+          return self().stageEraseTwoChild(node, nodeVer, right, i, sc);
+        if (!Derived::unlinksInPlace(left, right)) {  // the AVL's one-child
+          sc.deferred.push_back(i);
+          return StageStatus::kOk;
         }
-        return inserted;
+        Node* const repl = left != nullptr ? left : right;
+        if (parent == nullptr) {
+          if (!stageBudgetLeft(dom, 2)) return StageStatus::kOverflow;
+          addVer(node->ver, nodeVer, verMark(nodeVer));
+          fr.removed = true;
+          fr.repl = repl;
+        } else {
+          if (!stageBudgetLeft(dom, 3)) return StageStatus::kOverflow;
+          addVer(node->ver, nodeVer, verMark(nodeVer));
+          add(*slot, node, repl);
+          addVer(parent->ver, parentVer, verBump(parentVer));
+          sc.repair.push_back(parent);
+        }
+        sc.unlink.push_back(node);
+        sc.staged.push_back(i);
+        return StageStatus::kOk;
       }
-      discardInsertAttempt(sc);
+      casword<Node*>& next = key < nodeKey ? node->left : node->right;
+      Node* const child = next.load();
+      if (child == nullptr) return StageStatus::kOk;  // absent: path witness
+      if (!stageBudgetLeft(dom)) return StageStatus::kOverflow;
+      prefetch(child->left);
+      prefetch(child->right);
+      parent = node;
+      parentVer = nodeVer;
+      slot = &next;
+      nodeVer = visit(child);
+      node = child;
     }
-    const std::size_t half = n / 2;  // split-and-retry
-    return insertRun(keys, vals, half, out) +
-           insertRun(keys + half, vals + half, n - half, out + half);
   }
 
-  struct EraseScratch {
-    k::DefaultDomain* dom = nullptr;       // cached once per run (budget probes)
-    std::vector<Node*> unlink;             // staged-out nodes (retired on commit)
-    std::vector<Node*> rebal;              // afterCommit roots (AVL: parents)
-    std::vector<std::size_t> stagedIdx;    // outcome indices of staged removals
-    std::vector<std::size_t> deferredIdx;  // per-op erase() after the commit
-  };
-
-  struct EraseFrame {
-    bool removed = false;
-    Node* repl = nullptr;  // what the parent should swing its slot to
-  };
-
-  std::size_t eraseRun(const K* keys, std::size_t n, bool* out) {
-    if (n == 0) return 0;
-    if (n == 1) {  // degraded to the per-op commit
-      out[0] = self().erase(keys[0]);
-      return out[0] ? 1u : 0u;
-    }
-    auto guard = ebr_.pin();
-    EraseScratch sc;
-    sc.dom = &domain();
-    for (int attempt = 0; attempt < kBatchRetries; ++attempt) {
-      start();
-      sc.unlink.clear();
-      sc.rebal.clear();
-      sc.stagedIdx.clear();
-      sc.deferredIdx.clear();
-      const Version rootVer = visit(minRoot_);
-      EraseFrame rootFrame;
-      const StageStatus s = self().stageEraseNode(minRoot_, rootVer, keys, 0,
-                                                  n, sc, rootFrame);
-      if (s == StageStatus::kOverflow) break;
-      if (s == StageStatus::kRetry) continue;
-      PATHCAS_DCHECK(!rootFrame.removed);  // minRoot's key is a sentinel
-      if (sc.unlink.empty()) {
-        // Nothing staged: absent keys still need a validated traversal as
-        // their witness (same rule as erase()); deferred ones run per-op.
-        if (!validate()) continue;
-        return finishEraseRun(keys, out, sc);
-      }
-      if (vex()) {
-        for (Node* dead : sc.unlink) ebr_.retire(dead, pool_);
-        for (Node* p : sc.rebal) self().afterCommit(p);
-        return finishEraseRun(keys, out, sc);
-      }
-    }
-    const std::size_t half = n / 2;  // split-and-retry
-    return eraseRun(keys, half, out) +
-           eraseRun(keys + half, n - half, out + half);
-  }
-
-  std::size_t finishEraseRun(const K* keys, bool* out, EraseScratch& sc) {
-    std::size_t erased = sc.stagedIdx.size();
-    for (std::size_t idx : sc.stagedIdx) out[idx] = true;
-    for (std::size_t idx : sc.deferredIdx) {
-      out[idx] = self().erase(keys[idx]);
-      if (out[idx]) ++erased;
-    }
-    return erased;
+  /// A two-child match in a singleton partition: runs per-op after the
+  /// commit, unless the tree hides this with an in-batch shape (the BST's
+  /// successor swap).
+  StageStatus stageEraseTwoChild(Node*, Version, Node*, std::size_t i,
+                                 BatchScratch& sc) {
+    sc.deferred.push_back(i);
+    return StageStatus::kOk;
   }
 
   bool vex() { return opt_.useHtmFastPath ? vexecFast() : vexec(); }

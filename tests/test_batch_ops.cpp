@@ -52,7 +52,7 @@ std::vector<std::int64_t> randomRun(Xoshiro256& rng, std::int64_t keySpace,
 /// siblings: outcome[i] must equal what a per-op call would have returned
 /// against the pre-batch state with the earlier batch ops applied — which,
 /// for distinct keys, is just the pre-batch state.
-template <typename Tree, bool HasUpdate>
+template <typename Tree>
 void runBatchOracleFuzz(const ds::IntBstOptions& opt, std::int64_t keySpace,
                         int steps, std::uint64_t seed) {
   Tree t(opt);
@@ -62,7 +62,7 @@ void runBatchOracleFuzz(const ds::IntBstOptions& opt, std::int64_t keySpace,
   bool ins[kMaxW];
 
   for (int step = 0; step < steps; ++step) {
-    const std::uint64_t action = rng.nextBounded(HasUpdate ? 6 : 5);
+    const std::uint64_t action = rng.nextBounded(6);
     const std::int64_t k = static_cast<std::int64_t>(
         rng.nextBounded(static_cast<std::uint64_t>(keySpace)));
     switch (action) {
@@ -100,23 +100,21 @@ void runBatchOracleFuzz(const ds::IntBstOptions& opt, std::int64_t keySpace,
         break;
       }
       default: {  // updateBatch (mixed run)
-        if constexpr (HasUpdate) {
-          const auto run = randomRun(rng, keySpace, 100);
-          for (std::size_t i = 0; i < run.size(); ++i)
-            ins[i] = rng.nextBounded(2) != 0;
-          std::size_t n =
-              t.updateBatch(run.data(), run.data(), ins, run.size(), out);
-          std::size_t expect = 0;
-          for (std::size_t i = 0; i < run.size(); ++i) {
-            const bool want = ins[i] ? oracle.emplace(run[i], run[i]).second
-                                     : oracle.erase(run[i]) != 0;
-            EXPECT_EQ(out[i], want)
-                << (ins[i] ? "mixed insert key " : "mixed erase key ")
-                << run[i];
-            expect += out[i];
-          }
-          EXPECT_EQ(n, expect);
+        const auto run = randomRun(rng, keySpace, 100);
+        for (std::size_t i = 0; i < run.size(); ++i)
+          ins[i] = rng.nextBounded(2) != 0;
+        std::size_t n =
+            t.updateBatch(run.data(), run.data(), ins, run.size(), out);
+        std::size_t expect = 0;
+        for (std::size_t i = 0; i < run.size(); ++i) {
+          const bool want = ins[i] ? oracle.emplace(run[i], run[i]).second
+                                   : oracle.erase(run[i]) != 0;
+          EXPECT_EQ(out[i], want)
+              << (ins[i] ? "mixed insert key " : "mixed erase key ")
+              << run[i];
+          expect += out[i];
         }
+        EXPECT_EQ(n, expect);
         break;
       }
     }
@@ -142,31 +140,38 @@ void runBatchOracleFuzz(const ds::IntBstOptions& opt, std::int64_t keySpace,
 }
 
 TEST(BatchOps, BstOracleFuzz) {
-  runBatchOracleFuzz<Bst, true>({}, 512, 1200, 0xBA7C1);
+  runBatchOracleFuzz<Bst>({}, 512, 1200, 0xBA7C1);
 }
 
 TEST(BatchOps, BstOracleFuzzSmallKeySpace) {
   // Tiny key space: nearly every batch op hits occupied keys, so erase runs
   // constantly land on internal (incl. two-child) nodes and mixed runs
   // exercise the defer/swap decisions instead of the easy leaf cases.
-  runBatchOracleFuzz<Bst, true>({}, 48, 1500, 0xBA7C2);
+  runBatchOracleFuzz<Bst>({}, 48, 1500, 0xBA7C2);
 }
 
 TEST(BatchOps, AvlOracleFuzz) {
-  runBatchOracleFuzz<Avl, false>({}, 512, 1200, 0xBA7C3);
+  runBatchOracleFuzz<Avl>({}, 512, 1200, 0xBA7C3);
 }
 
-TEST(BatchOps, ChunkWidthDeterminism) {
-  // Outcomes and final contents must not depend on batchOpsPerCommit: the
-  // split-in-half retry ladder reaches width 1 for every chunk width, so a
-  // replayed identical op sequence must agree bit-for-bit across widths.
+TEST(BatchOps, AvlOracleFuzzSmallKeySpace) {
+  // As for the BST: most erase matches are one- or two-child nodes, which
+  // the AVL defers, and mixed runs unlink leaves beside staged inserts.
+  runBatchOracleFuzz<Avl>({}, 48, 1500, 0xBA7C4);
+}
+
+// Outcomes and final contents must not depend on batchOpsPerCommit: the
+// split-in-half retry ladder reaches width 1 for every chunk width, so a
+// replayed identical op sequence must agree bit-for-bit across widths.
+template <typename Tree>
+void runChunkWidthDeterminism() {
   const std::uint64_t kSeed = 0x5EED5;
   const int kSteps = 600;
   std::vector<std::vector<bool>> firstOutcomes;
   std::vector<std::pair<std::int64_t, std::int64_t>> firstContents;
   bool first = true;
   for (int chunk : {1, 2, 3, 7, 32, 128}) {
-    Bst t(ds::IntBstOptions{.batchOpsPerCommit = chunk});
+    Tree t(ds::IntBstOptions{.batchOpsPerCommit = chunk});
     Xoshiro256 rng(kSeed);
     bool out[kMaxW];
     bool ins[kMaxW];
@@ -196,6 +201,17 @@ TEST(BatchOps, ChunkWidthDeterminism) {
       EXPECT_EQ(outcomes, firstOutcomes) << "chunk width " << chunk;
       EXPECT_EQ(contents, firstContents) << "chunk width " << chunk;
     }
+  }
+}
+
+TEST(BatchOps, ChunkWidthDeterminism) {
+  {
+    SCOPED_TRACE("int-bst-pathcas");
+    runChunkWidthDeterminism<Bst>();
+  }
+  {
+    SCOPED_TRACE("int-avl-pathcas");
+    runChunkWidthDeterminism<Avl>();
   }
 }
 
@@ -240,15 +256,16 @@ TEST(BatchOps, DeepChainOverflowSplitsToPerOp) {
   EXPECT_EQ(stats.size, oracle.size());
 }
 
-TEST(BatchOps, MixedRunTwoChildAndDeferredErase) {
+template <typename Tree>
+void runMixedRunTwoChildAndDeferredErase() {
   /*        50
    *      /    \
    *    30      70
    *   /  \    /  \
    *  20  40  60  80
    *     /  \
-   *    35  45        */
-  Bst t;
+   *    35  45        (balanced, so the AVL builds the same shape) */
+  Tree t;
   for (std::int64_t k : {50, 30, 70, 20, 40, 60, 80, 35, 45})
     ASSERT_TRUE(t.insert(k, k));
   // One mixed run: erase 30 (two children) and 70 (two children), insert 33
@@ -273,6 +290,17 @@ TEST(BatchOps, MixedRunTwoChildAndDeferredErase) {
   EXPECT_FALSE(t.contains(70));
 }
 
+TEST(BatchOps, MixedRunTwoChildAndDeferredErase) {
+  {
+    SCOPED_TRACE("int-bst-pathcas");
+    runMixedRunTwoChildAndDeferredErase<Bst>();
+  }
+  {
+    SCOPED_TRACE("int-avl-pathcas");
+    runMixedRunTwoChildAndDeferredErase<Avl>();
+  }
+}
+
 // ---------------------------------------------------------------------
 // Windowed linearizability stress with batched submissions racing
 // single-op commits. One submitter thread issues a batch of kBatchW
@@ -284,13 +312,14 @@ TEST(BatchOps, MixedRunTwoChildAndDeferredErase) {
 // ---------------------------------------------------------------------
 
 enum class BatchKind {
-  kMixed,   // updateBatch with random per-op insert/erase flags
-  kTwoRun,  // alternate insertBatch / eraseBatch rounds
+  kMixed,    // updateBatch with random per-op insert/erase flags
+  kTwoRun,   // alternate the tree's insertBatch / eraseBatch rounds
+  kUniform,  // alternate all-insert / all-erase updateBatch rounds
 };
 
-template <typename SetT>
-void runBatchLinStress(SetT& set, BatchKind kind, int rounds,
-                       std::int64_t keySpace, std::uint64_t seed) {
+template <BatchKind Kind, typename SetT>
+void runBatchLinStress(SetT& set, int rounds, std::int64_t keySpace,
+                       std::uint64_t seed) {
   ASSERT_LE(keySpace, 64);
   constexpr int kPointThreads = 2;
   constexpr std::size_t kBatchW = 3;
@@ -322,31 +351,26 @@ void runBatchLinStress(SetT& set, BatchKind kind, int rounds,
           bool flags[kBatchW];
           bool out[kBatchW] = {};
           std::size_t i = 0;
+          const bool insertRound = (r % 2) == 0;
           for (const std::int64_t k : picked) {
             keys[i] = k;
             vals[i] = k;
-            flags[i] = rng.nextBounded(2) != 0;
+            const bool coin = rng.nextBounded(2) != 0;
+            flags[i] = Kind == BatchKind::kMixed ? coin : insertRound;
             ++i;
           }
-          const bool insertRound = (r % 2) == 0;
           const std::uint64_t inv = clock.fetch_add(1);
-          if (kind == BatchKind::kMixed) {
-            if constexpr (requires {
-                            set.updateBatch(keys, vals, flags, kBatchW, out);
-                          }) {
-              set.updateBatch(keys, vals, flags, kBatchW, out);
-            }
+          if constexpr (Kind != BatchKind::kTwoRun) {
+            set.updateBatch(keys, vals, flags, kBatchW, out);
           } else if (insertRound) {
-            set.insertBatch(keys, vals, kBatchW, out);
+            set.tree.insertBatch(keys, vals, kBatchW, out);
           } else {
-            set.eraseBatch(keys, kBatchW, out);
+            set.tree.eraseBatch(keys, kBatchW, out);
           }
           const std::uint64_t res = clock.fetch_add(1);
           for (std::size_t j = 0; j < kBatchW; ++j) {
             RecordedOp rec;
-            const bool isIns =
-                kind == BatchKind::kMixed ? flags[j] : insertRound;
-            rec.kind = isIns ? OpKind::kInsert : OpKind::kErase;
+            rec.kind = flags[j] ? OpKind::kInsert : OpKind::kErase;
             rec.a = keys[j];
             rec.boolResult = out[j];
             rec.inv = inv;
@@ -419,25 +443,34 @@ void runBatchLinStress(SetT& set, BatchKind kind, int rounds,
 
 TEST(BatchOps, LinStressBstMixedBatches) {
   PathCasBstAdapter<false> set;
-  runBatchLinStress(set, BatchKind::kMixed, 250, 16, 0x11A1);
+  runBatchLinStress<BatchKind::kMixed>(set, 250, 16, 0x11A1);
 }
 
 TEST(BatchOps, LinStressBstTwoRunBatches) {
   PathCasBstAdapter<false> set;
-  runBatchLinStress(set, BatchKind::kTwoRun, 250, 16, 0x11A2);
+  runBatchLinStress<BatchKind::kTwoRun>(set, 250, 16, 0x11A2);
+}
+
+TEST(BatchOps, LinStressAvlMixedBatches) {
+  PathCasAvlAdapter<false> set;
+  runBatchLinStress<BatchKind::kMixed>(set, 250, 16, 0x11A4);
 }
 
 TEST(BatchOps, LinStressAvlTwoRunBatches) {
   PathCasAvlAdapter<false> set;
-  runBatchLinStress(set, BatchKind::kTwoRun, 250, 16, 0x11A3);
+  runBatchLinStress<BatchKind::kTwoRun>(set, 250, 16, 0x11A3);
 }
 
 TEST(BatchOps, LinStressShardedBatches) {
+  // The map slices each run per shard into one tree-level updateBatch under
+  // the shard's combiner lock: uniform-kind rounds, then mixed rounds.
   for (int nshards : {1, 3}) {
-    BstMap map(nshards, 16);
     SCOPED_TRACE("shards=" + std::to_string(nshards));
-    runBatchLinStress(map, BatchKind::kTwoRun, 250, 16,
-                      0x11B0 + static_cast<std::uint64_t>(nshards));
+    const std::uint64_t seed = 0x11B0 + static_cast<std::uint64_t>(nshards);
+    BstMap uniform(nshards, 16);
+    runBatchLinStress<BatchKind::kUniform>(uniform, 250, 16, seed);
+    BstMap mixed(nshards, 16);
+    runBatchLinStress<BatchKind::kMixed>(mixed, 250, 16, seed + 4);
   }
 }
 
@@ -449,7 +482,7 @@ TEST(BatchOps, LinStressShardedCombining) {
   BstMap::Config cfg;
   cfg.combineWindow = 8;
   BstMap map(2, 16, cfg);
-  runBatchLinStress(map, BatchKind::kTwoRun, 250, 16, 0x11C0);
+  runBatchLinStress<BatchKind::kUniform>(map, 250, 16, 0x11C0);
 }
 
 }  // namespace
