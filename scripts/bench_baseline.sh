@@ -19,9 +19,10 @@ set -euo pipefail
 
 build_dir="${1:-build}"
 out="BENCH_baseline.json"
-# bench_compare.py averages rows with identical trial identity, so repeated
-# passes tighten the baseline's noisy columns (p99 especially) without any
-# schema change. Override with BASELINE_REPEATS=1 for a quick refresh.
+# bench_compare.py combines rows with identical trial identity by their
+# per-cell median, so repeated passes keep one outlier run (a p99 cell hit by
+# a scheduler stall, say) out of the baseline without any schema change.
+# Override with BASELINE_REPEATS=1 for a quick refresh.
 repeats="${BASELINE_REPEATS:-3}"
 
 for bench in skew_sweep batch_commit cache_workload overload_profile; do

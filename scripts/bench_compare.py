@@ -7,8 +7,9 @@ trial identity — (experiment, algo, threads, shards, batch, combine_window,
 key_range, dist, mix, arrival, qdepth, deadline_ns, update_pct, rq_pct,
 rq_size); rows from files predating a field join on its default (shards=1,
 batch=1, combine_window=0, arrival="closed", qdepth=0, deadline_ns=0, i.e.
-closed-loop / no admission control) — averages duplicate rows (re-runs), and
-reports three per-cell deltas:
+closed-loop / no admission control) — combines duplicate rows (re-runs) by
+their per-cell median, so one outlier run cannot move a cell, and reports
+three per-cell deltas:
 
   * `mops`  — fails when throughput DROPS by more than --threshold-pct;
   * `goodput_mops` — fails when goodput (ops completed within the admission
@@ -45,6 +46,7 @@ import argparse
 import json
 import sys
 from collections import defaultdict
+from statistics import median
 
 KEY_FIELDS = (
     "experiment",
@@ -81,14 +83,12 @@ ACCOUNTING_FIELDS = ("ops_offered", "ops_admitted", "ops_shed", "ops_rejected")
 
 
 def load(path):
-    """Return {trial-key: (mean mops, mean p99_ns or None, mean goodput_mops
-    or None)} for a bench file."""
-    mops_sums = defaultdict(float)
-    mops_counts = defaultdict(int)
-    p99_sums = defaultdict(float)
-    p99_counts = defaultdict(int)
-    good_sums = defaultdict(float)
-    good_counts = defaultdict(int)
+    """Return {trial-key: (median mops, median p99_ns or None, median
+    goodput_mops or None)} for a bench file, each the median over the rows
+    that carry the field."""
+    mops = defaultdict(list)
+    p99 = defaultdict(list)
+    good = defaultdict(list)
     try:
         with open(path, "r", encoding="utf-8") as f:
             for lineno, line in enumerate(f, 1):
@@ -106,7 +106,7 @@ def load(path):
                         else row.get(k, DEFAULT_FIELDS[k])
                         for k in KEY_FIELDS
                     )
-                    mops = float(row["mops"])
+                    row_mops = float(row["mops"])
                 except KeyError as e:
                     print(f"{path}:{lineno}: missing field {e}", file=sys.stderr)
                     sys.exit(2)
@@ -123,23 +123,22 @@ def load(path):
                             file=sys.stderr,
                         )
                         sys.exit(2)
-                mops_sums[key] += mops
-                mops_counts[key] += 1
+                mops[key].append(row_mops)
                 if "p99_ns" in row:
-                    p99_sums[key] += float(row["p99_ns"])
-                    p99_counts[key] += 1
+                    p99[key].append(float(row["p99_ns"]))
                 if "goodput_mops" in row:
-                    good_sums[key] += float(row["goodput_mops"])
-                    good_counts[key] += 1
+                    good[key].append(float(row["goodput_mops"]))
     except OSError as e:
         print(f"cannot read {path}: {e}", file=sys.stderr)
         sys.exit(2)
-    out = {}
-    for k in mops_sums:
-        p99 = p99_sums[k] / p99_counts[k] if p99_counts[k] else None
-        good = good_sums[k] / good_counts[k] if good_counts[k] else None
-        out[k] = (mops_sums[k] / mops_counts[k], p99, good)
-    return out
+    return {
+        k: (
+            median(mops[k]),
+            median(p99[k]) if p99[k] else None,
+            median(good[k]) if good[k] else None,
+        )
+        for k in mops
+    }
 
 
 def fmt_key(key):

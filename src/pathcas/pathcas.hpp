@@ -23,7 +23,11 @@
 //
 // Version-number convention (§3.3): every node carries a
 // casword<std::uint64_t> named `ver`; bit 0 is the mark bit. Live updates
-// increment by 2; unlink+mark adds 1 (kVerMark helpers below).
+// increment by 2; unlink+mark adds 1 (verBump/verMark below). A structure
+// may keep payload in the high bits, which both helpers leave alone: the
+// relaxed AVL tree stores each node's height in bits 53-60 and its counter
+// in bits 1-52 (trees/int_avl_pathcas.hpp). Bit 60 is the highest an
+// unsigned casword payload may use.
 //
 // All functions operate on the calling thread's (reused) descriptor in its
 // current KcasDomain: the process-wide one unless a k::ScopedDomain selects

@@ -11,6 +11,14 @@
 // the core's hooks (adopt: parent word and height; afterCommit: rebalance;
 // unlinksInPlace: leaves only).
 //
+// The height lives in the node's version word (bits 53-60, above the mark
+// bit and the 52-bit counter; avlHeight/withAvlHeight below). A height only
+// ever changes in a KCAS that also bumps that node's version, so fixHeight
+// and the rotations write it into the version entry they stage anyway, and
+// a visit() returns the node's height with its version, validated with it.
+// The node is 48 B, with the words a search reads (ver, key, left, right)
+// in its first 32 B.
+//
 // Deviations from the paper's pseudocode (which contains typos) are
 // normalized to one rule: ANY node whose fields change in a vexec — including
 // pure parent-pointer retargeting — has its version incremented in the same
@@ -30,22 +38,45 @@
 
 namespace pathcas::ds {
 
+/// An AVL node's version word: bit 0 the mark, bits 1-52 the counter
+/// (verBump adds 2, verMark 1, so both keep the height), bits 53-60 the
+/// relaxed height. Debug builds check the bound: a height of 256 needs a
+/// path of 256 nodes, which a strict AVL tree cannot have below 2^170 keys
+/// and a relaxed one only while rebalancing lags far behind its updates.
+inline constexpr int kAvlHeightShift = 53;
+inline constexpr std::int64_t kAvlHeightMax = 255;
+
+/// The height held in version word v (0 for a null child's version 0).
+constexpr std::int64_t avlHeight(Version v) {
+  return static_cast<std::int64_t>(v >> kAvlHeightShift) & kAvlHeightMax;
+}
+
+/// v with its height replaced by h; the counter and the mark bit stay.
+inline Version withAvlHeight(Version v, std::int64_t h) {
+  PATHCAS_DCHECK(h >= 0 && h <= kAvlHeightMax);
+  constexpr Version kMask = Version{kAvlHeightMax} << kAvlHeightShift;
+  return (v & ~kMask) | (static_cast<Version>(h) << kAvlHeightShift);
+}
+
 template <typename K, typename V>
 struct IntAvlNode {
-  casword<Version> ver;
+  // Search-hot words first: a search reads ver, key, left and right.
+  casword<Version> ver;  // mark, counter and height (avlHeight)
   casword<K> key;
-  casword<V> val;
   casword<IntAvlNode*> left;
   casword<IntAvlNode*> right;
+  casword<V> val;
   casword<IntAvlNode*> parent;
-  casword<std::int64_t> height;  // logical height (relaxed)
 
   IntAvlNode(K k, V v) {
+    ver.setInitial(withAvlHeight(0, 1));
     key.setInitial(k);
     val.setInitial(v);
-    height.setInitial(1);
   }
 };
+
+static_assert(sizeof(IntAvlNode<std::int64_t, std::int64_t>) == 48);
+static_assert(searchHotFirst<IntAvlNode<std::int64_t, std::int64_t>>());
 
 template <typename K = std::int64_t, typename V = std::int64_t>
 class IntAvlPathCas
@@ -162,8 +193,7 @@ class IntAvlPathCas
       if (requireStrictBalance) {
         Node* const l = n->left.load();
         Node* const r = n->right.load();
-        PATHCAS_CHECK(n->height.load() ==
-                      1 + std::max(heightOf(l), heightOf(r)));
+        PATHCAS_CHECK(heightOf(n) == 1 + std::max(heightOf(l), heightOf(r)));
         const std::int64_t bal = heightOf(l) - heightOf(r);
         PATHCAS_CHECK(bal >= -1 && bal <= 1);
       }
@@ -194,8 +224,10 @@ class IntAvlPathCas
   // are adopted bottom-up, so the children's heights are final).
   static void adopt(Node* n, Node* parent, Node* l, Node* r) {
     n->parent.setInitial(parent);
-    if (l != nullptr || r != nullptr)
-      n->height.setInitial(1 + std::max(heightOf(l), heightOf(r)));
+    if (l != nullptr || r != nullptr) {
+      n->ver.setInitial(withAvlHeight(
+          n->ver.load(), 1 + std::max(heightOf(l), heightOf(r))));
+    }
   }
   void afterCommit(Node* n) { rebalance(n); }
 
@@ -209,11 +241,14 @@ class IntAvlPathCas
   }
 
   static std::int64_t heightOf(Node* n) {
-    return n == nullptr ? 0 : n->height.load();
+    return n == nullptr ? 0 : avlHeight(n->ver.load());
   }
 
   // ------------------------------------------------------------------
-  // Rebalancing (appendix D, Algorithms 8-11 + mirrors).
+  // Rebalancing (appendix D, Algorithms 8-11 + mirrors). Every height comes
+  // from a version word this op already read: n's own, or a visited
+  // child's (a null child's version 0 reads as height 0). Every new height
+  // rides in the version entry that bumps its node.
   // ------------------------------------------------------------------
 
   /// Walk from n toward the root repairing violations (Algorithm 10). A
@@ -239,9 +274,7 @@ class IntAvlPathCas
       if (l != nullptr) lV = visit(l);
       if (r != nullptr) rV = visit(r);
       if (isMarked(lV) || isMarked(rV)) continue;
-      const std::int64_t lh = heightOf(l);
-      const std::int64_t rh = heightOf(r);
-      const std::int64_t balance = lh - rh;
+      const std::int64_t balance = avlHeight(lV) - avlHeight(rV);
 
       if (balance >= 2) {
         // Left-heavy: examine l's children to pick single vs double rotation.
@@ -252,7 +285,7 @@ class IntAvlPathCas
         if (ll != nullptr) llV = visit(ll);
         if (lr != nullptr) lrV = visit(lr);
         if (isMarked(llV) || isMarked(lrV)) continue;
-        const std::int64_t lBalance = heightOf(ll) - heightOf(lr);
+        const std::int64_t lBalance = avlHeight(llV) - avlHeight(lrV);
         if (lBalance < 0) {
           if (lr == nullptr) continue;
           if (rotateLeftRight(p, pV, n, nV, l, lV, lr, lrV)) {
@@ -276,7 +309,7 @@ class IntAvlPathCas
         if (rl != nullptr) rlV = visit(rl);
         if (rr != nullptr) rrV = visit(rr);
         if (isMarked(rlV) || isMarked(rrV)) continue;
-        const std::int64_t rBalance = heightOf(rl) - heightOf(rr);
+        const std::int64_t rBalance = avlHeight(rlV) - avlHeight(rrV);
         if (rBalance > 0) {
           if (rl == nullptr) continue;
           if (rotateRightLeft(p, pV, n, nV, r, rV, rl, rlV)) {
@@ -304,25 +337,24 @@ class IntAvlPathCas
     }
   }
 
-  /// Algorithm 8: set n.height = 1 + max(child heights), locking the
+  /// Algorithm 8: set n's height to 1 + max(child heights), locking the
   /// children's versions (add old==new) so the computed height is consistent.
   FixResult fixHeight(Node* n, Version nV, Node* l, Version lV, Node* r,
                       Version rV) {
     // l/r/versions were visited by the caller in this same PathCAS op.
     if (!distinctNodes({n, l, r})) return FixResult::kFailure;
-    if (l != nullptr) addVer(l->ver, lV, lV);
-    if (r != nullptr) addVer(r->ver, rV, rV);
-    const std::int64_t oldHeight = n->height;
-    const std::int64_t newHeight = 1 + std::max(heightOf(l), heightOf(r));
-    if (oldHeight == newHeight) {
+    const std::int64_t newHeight =
+        1 + std::max(avlHeight(lV), avlHeight(rV));
+    if (avlHeight(nV) == newHeight) {
       if (n->ver.load() == nV && (l == nullptr || l->ver.load() == lV) &&
           (r == nullptr || r->ver.load() == rV)) {
         return FixResult::kUnnecessary;
       }
       return FixResult::kFailure;
     }
-    add(n->height, oldHeight, newHeight);
-    addVer(n->ver, nV, verBump(nV));
+    if (l != nullptr) addVer(l->ver, lV, lV);
+    if (r != nullptr) addVer(r->ver, rV, rV);
+    addVer(n->ver, nV, withAvlHeight(verBump(nV), newHeight));
     if (vex()) return FixResult::kSuccess;
     return FixResult::kFailure;
   }
@@ -352,6 +384,24 @@ class IntAvlPathCas
     return true;
   }
 
+  /// Visit c and return its height (0 for null), or -1 if c is marked.
+  static std::int64_t visitHeight(Node* c) {
+    if (c == nullptr) return 0;
+    const Version v = visit(c);
+    return isMarked(v) ? -1 : avlHeight(v);
+  }
+
+  /// visitHeight, and if c is a live node, also stage its move from parent
+  /// `from` to parent `to` (parent word and version bump).
+  static std::int64_t visitMove(Node* c, Node* from, Node* to) {
+    if (c == nullptr) return 0;
+    const Version v = visit(c);
+    if (isMarked(v)) return -1;
+    add(c->parent, from, to);
+    addVer(c->ver, v, verBump(v));
+    return avlHeight(v);
+  }
+
   /// Algorithm 11 (and its mirror): single rotation.
   ///        p                p
   ///        n       =>       l
@@ -364,41 +414,21 @@ class IntAvlPathCas
     Node* const lr = l->right;
     if (!distinctNodes({p, n, l, lr})) return false;
     if (!addParentSwing(p, n, l)) return false;
-    std::int64_t lrH = 0;
-    if (lr != nullptr) {
-      const Version lrV = visit(lr);
-      if (isMarked(lrV)) return false;
-      lrH = lr->height;
-      add(lr->parent, l, n);
-      addVer(lr->ver, lrV, verBump(lrV));
-    }
-    Node* const ll = l->left;
-    std::int64_t llH = 0;
-    if (ll != nullptr) {
-      const Version llV = visit(ll);
-      if (isMarked(llV)) return false;
-      llH = ll->height;
-    }
-    Node* const r = n->right;
-    std::int64_t rH = 0;
-    if (r != nullptr) {
-      const Version rV = visit(r);
-      if (isMarked(rV)) return false;
-      rH = r->height;
-    }
-    const std::int64_t oldNH = n->height;
-    const std::int64_t oldLH = l->height;
+    const std::int64_t lrH = visitMove(lr, l, n);
+    if (lrH < 0) return false;
+    const std::int64_t llH = visitHeight(l->left);
+    if (llH < 0) return false;
+    const std::int64_t rH = visitHeight(n->right);
+    if (rH < 0) return false;
     const std::int64_t newNH = 1 + std::max(lrH, rH);
     const std::int64_t newLH = 1 + std::max(llH, newNH);
     add(l->parent, n, p);
     add(n->left, l, lr);
     add(l->right, lr, n);
     add(n->parent, p, l);
-    add(n->height, oldNH, newNH);
-    add(l->height, oldLH, newLH);
     addVer(p->ver, pV, verBump(pV));
-    addVer(n->ver, nV, verBump(nV));
-    addVer(l->ver, lV, verBump(lV));
+    addVer(n->ver, nV, withAvlHeight(verBump(nV), newNH));
+    addVer(l->ver, lV, withAvlHeight(verBump(lV), newLH));
     return vex();
   }
 
@@ -407,41 +437,21 @@ class IntAvlPathCas
     Node* const rl = r->left;
     if (!distinctNodes({p, n, r, rl})) return false;
     if (!addParentSwing(p, n, r)) return false;
-    std::int64_t rlH = 0;
-    if (rl != nullptr) {
-      const Version rlV = visit(rl);
-      if (isMarked(rlV)) return false;
-      rlH = rl->height;
-      add(rl->parent, r, n);
-      addVer(rl->ver, rlV, verBump(rlV));
-    }
-    Node* const rr = r->right;
-    std::int64_t rrH = 0;
-    if (rr != nullptr) {
-      const Version rrV = visit(rr);
-      if (isMarked(rrV)) return false;
-      rrH = rr->height;
-    }
-    Node* const l = n->left;
-    std::int64_t lH = 0;
-    if (l != nullptr) {
-      const Version lV = visit(l);
-      if (isMarked(lV)) return false;
-      lH = l->height;
-    }
-    const std::int64_t oldNH = n->height;
-    const std::int64_t oldRH = r->height;
+    const std::int64_t rlH = visitMove(rl, r, n);
+    if (rlH < 0) return false;
+    const std::int64_t rrH = visitHeight(r->right);
+    if (rrH < 0) return false;
+    const std::int64_t lH = visitHeight(n->left);
+    if (lH < 0) return false;
     const std::int64_t newNH = 1 + std::max(rlH, lH);
     const std::int64_t newRH = 1 + std::max(rrH, newNH);
     add(r->parent, n, p);
     add(n->right, r, rl);
     add(r->left, rl, n);
     add(n->parent, p, r);
-    add(n->height, oldNH, newNH);
-    add(r->height, oldRH, newRH);
     addVer(p->ver, pV, verBump(pV));
-    addVer(n->ver, nV, verBump(nV));
-    addVer(r->ver, rV, verBump(rV));
+    addVer(n->ver, nV, withAvlHeight(verBump(nV), newNH));
+    addVer(r->ver, rV, withAvlHeight(verBump(rV), newRH));
     return vex();
   }
 
@@ -460,39 +470,14 @@ class IntAvlPathCas
     Node* const lrr = lr->right;
     if (!distinctNodes({p, n, l, lr, lrl, lrr})) return false;
     if (!addParentSwing(p, n, lr)) return false;
-    std::int64_t lrlH = 0;
-    if (lrl != nullptr) {
-      const Version lrlV = visit(lrl);
-      if (isMarked(lrlV)) return false;
-      lrlH = lrl->height;
-      add(lrl->parent, lr, l);
-      addVer(lrl->ver, lrlV, verBump(lrlV));
-    }
-    std::int64_t lrrH = 0;
-    if (lrr != nullptr) {
-      const Version lrrV = visit(lrr);
-      if (isMarked(lrrV)) return false;
-      lrrH = lrr->height;
-      add(lrr->parent, lr, n);
-      addVer(lrr->ver, lrrV, verBump(lrrV));
-    }
-    Node* const r = n->right;
-    std::int64_t rH = 0;
-    if (r != nullptr) {
-      const Version rV = visit(r);
-      if (isMarked(rV)) return false;
-      rH = r->height;
-    }
-    Node* const ll = l->left;
-    std::int64_t llH = 0;
-    if (ll != nullptr) {
-      const Version llV = visit(ll);
-      if (isMarked(llV)) return false;
-      llH = ll->height;
-    }
-    const std::int64_t oldNH = n->height;
-    const std::int64_t oldLH = l->height;
-    const std::int64_t oldLRH = lr->height;
+    const std::int64_t lrlH = visitMove(lrl, lr, l);
+    if (lrlH < 0) return false;
+    const std::int64_t lrrH = visitMove(lrr, lr, n);
+    if (lrrH < 0) return false;
+    const std::int64_t rH = visitHeight(n->right);
+    if (rH < 0) return false;
+    const std::int64_t llH = visitHeight(l->left);
+    if (llH < 0) return false;
     const std::int64_t newNH = 1 + std::max(lrrH, rH);
     const std::int64_t newLH = 1 + std::max(llH, lrlH);
     const std::int64_t newLRH = 1 + std::max(newNH, newLH);
@@ -503,13 +488,10 @@ class IntAvlPathCas
     add(n->parent, p, lr);
     add(l->right, lr, lrl);
     add(n->left, l, lrr);
-    add(n->height, oldNH, newNH);
-    add(l->height, oldLH, newLH);
-    add(lr->height, oldLRH, newLRH);
-    addVer(lr->ver, lrV, verBump(lrV));
+    addVer(lr->ver, lrV, withAvlHeight(verBump(lrV), newLRH));
     addVer(p->ver, pV, verBump(pV));
-    addVer(n->ver, nV, verBump(nV));
-    addVer(l->ver, lV, verBump(lV));
+    addVer(n->ver, nV, withAvlHeight(verBump(nV), newNH));
+    addVer(l->ver, lV, withAvlHeight(verBump(lV), newLH));
     return vex();
   }
 
@@ -519,39 +501,14 @@ class IntAvlPathCas
     Node* const rll = rl->left;
     if (!distinctNodes({p, n, r, rl, rlr, rll})) return false;
     if (!addParentSwing(p, n, rl)) return false;
-    std::int64_t rlrH = 0;
-    if (rlr != nullptr) {
-      const Version rlrV = visit(rlr);
-      if (isMarked(rlrV)) return false;
-      rlrH = rlr->height;
-      add(rlr->parent, rl, r);
-      addVer(rlr->ver, rlrV, verBump(rlrV));
-    }
-    std::int64_t rllH = 0;
-    if (rll != nullptr) {
-      const Version rllV = visit(rll);
-      if (isMarked(rllV)) return false;
-      rllH = rll->height;
-      add(rll->parent, rl, n);
-      addVer(rll->ver, rllV, verBump(rllV));
-    }
-    Node* const l = n->left;
-    std::int64_t lH = 0;
-    if (l != nullptr) {
-      const Version lV = visit(l);
-      if (isMarked(lV)) return false;
-      lH = l->height;
-    }
-    Node* const rr = r->right;
-    std::int64_t rrH = 0;
-    if (rr != nullptr) {
-      const Version rrV = visit(rr);
-      if (isMarked(rrV)) return false;
-      rrH = rr->height;
-    }
-    const std::int64_t oldNH = n->height;
-    const std::int64_t oldRH = r->height;
-    const std::int64_t oldRLH = rl->height;
+    const std::int64_t rlrH = visitMove(rlr, rl, r);
+    if (rlrH < 0) return false;
+    const std::int64_t rllH = visitMove(rll, rl, n);
+    if (rllH < 0) return false;
+    const std::int64_t lH = visitHeight(n->left);
+    if (lH < 0) return false;
+    const std::int64_t rrH = visitHeight(r->right);
+    if (rrH < 0) return false;
     const std::int64_t newNH = 1 + std::max(rllH, lH);
     const std::int64_t newRH = 1 + std::max(rrH, rlrH);
     const std::int64_t newRLH = 1 + std::max(newNH, newRH);
@@ -562,13 +519,10 @@ class IntAvlPathCas
     add(n->parent, p, rl);
     add(r->left, rl, rlr);
     add(n->right, r, rll);
-    add(n->height, oldNH, newNH);
-    add(r->height, oldRH, newRH);
-    add(rl->height, oldRLH, newRLH);
-    addVer(rl->ver, rlV, verBump(rlV));
+    addVer(rl->ver, rlV, withAvlHeight(verBump(rlV), newRLH));
     addVer(p->ver, pV, verBump(pV));
-    addVer(n->ver, nV, verBump(nV));
-    addVer(r->ver, rV, verBump(rV));
+    addVer(n->ver, nV, withAvlHeight(verBump(nV), newNH));
+    addVer(r->ver, rV, withAvlHeight(verBump(rV), newRH));
     return vex();
   }
 
@@ -581,7 +535,7 @@ class IntAvlPathCas
     Node* const r = n->right.load();
     const std::int64_t want = 1 + std::max(heightOf(l), heightOf(r));
     const std::int64_t bal = heightOf(l) - heightOf(r);
-    if (n->height.load() != want || bal >= 2 || bal <= -2) {
+    if (heightOf(n) != want || bal >= 2 || bal <= -2) {
       rebalance(n);
       changed = true;
     }

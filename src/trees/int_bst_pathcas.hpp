@@ -22,17 +22,21 @@ namespace pathcas::ds {
 
 template <typename K, typename V>
 struct IntBstNode {
+  // Search-hot words first: a search reads ver, key, left and right.
   casword<Version> ver;
   casword<K> key;
-  casword<V> val;
   casword<IntBstNode*> left;
   casword<IntBstNode*> right;
+  casword<V> val;
 
   IntBstNode(K k, V v) {
     key.setInitial(k);
     val.setInitial(v);
   }
 };
+
+static_assert(sizeof(IntBstNode<std::int64_t, std::int64_t>) == 40);
+static_assert(searchHotFirst<IntBstNode<std::int64_t, std::int64_t>>());
 
 template <typename K = std::int64_t, typename V = std::int64_t>
 class IntBstPathCas

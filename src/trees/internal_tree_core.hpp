@@ -33,6 +33,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -57,7 +58,25 @@ struct TreeStats {
   double avgKeyDepth = 0.0;
   std::int64_t keySum = 0;
   std::uint64_t footprintBytes = 0;  // nodeCount * sizeof(Node)
+  /// Mean number of 64 B lines a node's search-hot words (ver through
+  /// right) span, from the addresses of the reachable nodes: the lines one
+  /// visited node costs a search.
+  double hotLinesPerNode = 0.0;
 };
+
+/// Bytes of a node's search-hot words: ver, key, left and right.
+inline constexpr std::size_t kSearchHotBytes = 4 * sizeof(k::word_t);
+
+/// True iff Node keeps its search-hot words in its first kSearchHotBytes,
+/// so a node that starts at most 32 B into a line reads one line per visit.
+/// Each tree asserts it next to its node type.
+template <typename Node>
+constexpr bool searchHotFirst() {
+  return offsetof(Node, ver) < kSearchHotBytes &&
+         offsetof(Node, key) < kSearchHotBytes &&
+         offsetof(Node, left) < kSearchHotBytes &&
+         offsetof(Node, right) < kSearchHotBytes;
+}
 
 /// Configuration knobs (the §4.1 ablation).
 struct IntBstOptions {
@@ -744,18 +763,33 @@ class InternalTreeCore {
     PATHCAS_CHECK(maxRoot_->right.load() == nullptr);
     PATHCAS_CHECK(minRoot_->left.load() == nullptr);
     TreeStats stats;
-    std::uint64_t depthSum = 0;
-    walk(minRoot_->right.load(), minRoot_, kNegInf, kPosInf, 1, stats,
-         depthSum, check);
-    stats.avgKeyDepth =
-        stats.size ? static_cast<double>(depthSum) / stats.size : 0.0;
+    WalkSums sums;
+    walk(minRoot_->right.load(), minRoot_, kNegInf, kPosInf, 1, stats, sums,
+         check);
+    if (stats.size) {
+      stats.avgKeyDepth = static_cast<double>(sums.depth) / stats.size;
+      stats.hotLinesPerNode =
+          static_cast<double>(sums.hotLines) / stats.nodeCount;
+    }
     stats.footprintBytes = (stats.nodeCount + 2) * sizeof(Node);
     return stats;
   }
 
+  struct WalkSums {
+    std::uint64_t depth = 0;
+    std::uint64_t hotLines = 0;
+  };
+
+  /// 64 B lines spanned by n's words from ver through right.
+  static std::uint64_t hotLines(const Node* n) {
+    const auto first = reinterpret_cast<std::uintptr_t>(n->ver.addr());
+    const auto last = reinterpret_cast<std::uintptr_t>(n->right.addr() + 1) - 1;
+    return last / kCacheLine - first / kCacheLine + 1;
+  }
+
   template <typename Check>
   static void walk(Node* n, Node* parent, K lo, K hi, std::uint64_t depth,
-                   TreeStats& stats, std::uint64_t& depthSum, Check& check) {
+                   TreeStats& stats, WalkSums& sums, Check& check) {
     if (n == nullptr) return;
     const K k = n->key.load();
     PATHCAS_CHECK(k > lo && k < hi);
@@ -764,10 +798,11 @@ class InternalTreeCore {
     ++stats.size;
     ++stats.nodeCount;
     stats.keySum += static_cast<std::int64_t>(k);
-    depthSum += depth;
+    sums.depth += depth;
+    sums.hotLines += hotLines(n);
     stats.height = std::max(stats.height, depth);
-    walk(n->left.load(), n, lo, k, depth + 1, stats, depthSum, check);
-    walk(n->right.load(), n, k, hi, depth + 1, stats, depthSum, check);
+    walk(n->left.load(), n, lo, k, depth + 1, stats, sums, check);
+    walk(n->right.load(), n, k, hi, depth + 1, stats, sums, check);
   }
 
   static void forEachRec(Node* n, const std::function<void(K, V)>& f) {

@@ -1,6 +1,7 @@
 // Tests for the PathCAS relaxed AVL tree: oracle semantics, rotation
 // correctness (all four cases), parent-pointer and height invariants,
-// balance convergence (Bougé), and concurrent keysum stress.
+// balance convergence (Bougé), the height bits of the version word, the
+// node layout, and concurrent keysum stress.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -141,6 +142,80 @@ TEST(IntAvl, HeightTracksLogOfSizeUnderChurn) {
     EXPECT_LE(s.height, static_cast<std::uint64_t>(
                             1.45 * std::log2(double(s.size)) + 3));
   }
+}
+
+// ---------------------------------------------------------------------------
+// The version word: mark in bit 0, counter in bits 1-52, height in 53-60.
+// ---------------------------------------------------------------------------
+
+TEST(IntAvlVersion, BumpAndMarkKeepTheHeight) {
+  const Version v = withAvlHeight(6, 17);
+  EXPECT_EQ(avlHeight(v), 17);
+  EXPECT_EQ(avlHeight(verBump(v)), 17);
+  EXPECT_EQ(avlHeight(verMark(v)), 17);
+  EXPECT_FALSE(isMarked(verBump(v)));
+  EXPECT_TRUE(isMarked(verMark(v)));
+  EXPECT_EQ(verBump(v), withAvlHeight(8, 17));
+  EXPECT_EQ(verMark(v), withAvlHeight(7, 17));
+}
+
+TEST(IntAvlVersion, SettingAHeightKeepsTheCounterAndTheMark) {
+  constexpr Version kLowBits = (Version{1} << kAvlHeightShift) - 1;
+  for (const Version v : {Version{0}, Version{7}, (Version{1} << 52) | 5,
+                          withAvlHeight(42, 200), withAvlHeight(kLowBits, 9)}) {
+    for (const std::int64_t h : {0, 1, 37, 254, 255}) {
+      const Version w = withAvlHeight(v, h);
+      EXPECT_EQ(avlHeight(w), h);
+      EXPECT_EQ(w & kLowBits, v & kLowBits);
+      EXPECT_EQ(isMarked(w), isMarked(v));
+    }
+  }
+}
+
+// Height 255 sets payload bit 60, the top bit an unsigned casword payload
+// may use, and the counter's top bit (52) is set too: a sign extension or a
+// lost bit anywhere in store, load, visit or exec shows up here.
+TEST(IntAvlVersion, TopHeightAndLargeCounterRoundTrip) {
+  const Version v = withAvlHeight((Version{1} << 52) + 4, kAvlHeightMax);
+  ASSERT_EQ(v >> 60, 1u);
+  casword<Version> ver;
+  ver.setInitial(v);
+  EXPECT_EQ(ver.load(), v);
+  start();
+  const Version seen = visitVer(ver);
+  EXPECT_EQ(seen, v);
+  EXPECT_TRUE(validate());
+  addVer(ver, seen, verBump(seen));
+  EXPECT_TRUE(exec());
+  EXPECT_EQ(ver.load(), v + 2);
+  EXPECT_EQ(avlHeight(ver.load()), kAvlHeightMax);
+  start();
+  addVer(ver, v + 2, withAvlHeight(verMark(v + 2), 3));
+  EXPECT_TRUE(exec());
+  EXPECT_EQ(ver.load(), withAvlHeight(v + 3, 3));
+  EXPECT_TRUE(isMarked(ver.load()));
+}
+
+#ifndef NDEBUG
+TEST(IntAvlVersionDeathTest, HeightAbove255Aborts) {
+  EXPECT_DEATH(withAvlHeight(0, kAvlHeightMax + 1), "kAvlHeightMax");
+}
+#endif
+
+// A fresh pool carves slots back to back at a 48 B stride from a slab
+// aligned to 64 KiB, so slot offsets repeat 0, 48, 32, 16 within their
+// lines, and only the slot at 48 spreads its 32 search-hot bytes over two
+// lines. The 1024 nodes after the two sentinels are 256 whole periods of 4
+// slots, all in the first slab.
+TEST(IntAvlLayout, SearchHotWordsCrossALineInOneSlotOfFour) {
+  recl::NodePool<Avl::Node> pool;
+  Avl t(IntBstOptions{}, recl::EbrDomain::instance(), &pool);
+  constexpr std::int64_t kN = 1024;
+  for (std::int64_t i = 0; i < kN; ++i) ASSERT_TRUE(t.insert(i * 617 % kN, i));
+  const TreeStats s = t.checkInvariants();
+  EXPECT_EQ(s.nodeCount, static_cast<std::uint64_t>(kN));
+  EXPECT_EQ(recl::NodePool<Avl::Node>::slotSize(), 48u);
+  EXPECT_DOUBLE_EQ(s.hotLinesPerNode, 1.25);
 }
 
 // ---------------------------------------------------------------------------
