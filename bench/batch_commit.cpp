@@ -37,7 +37,7 @@ namespace {
 
 /// batch_commit's CSV schema: identification (incl. batch width and combine
 /// window — the two axes under attribution) + throughput, both submitted
-/// and applied. Under window netting, submitted mops counts annihilated ops
+/// and applied. Under window netting, submitted mops counts netted-away ops
 /// that never executed; the attribution ratios below use applied mops so a
 /// wider window cannot claim credit for work it skipped.
 void printBatchCsv(const std::string& experiment, const std::string& algo,
@@ -109,9 +109,12 @@ int main() {
   TrialConfig base = withUpdates({}, 100.0);  // 50% insert + 50% delete
   // Group commit targets the write-contended hot-range regime: a small key
   // range keeps the zipfian hot set dense in the tree, so sorted runs share
-  // long path prefixes and window netting cancels a large fraction of the
+  // long path prefixes and window netting settles a large fraction of the
   // ops. Large ranges spread the run across disjoint paths and the batch
   // degenerates to per-op traversals — that regime is skew_sweep's job.
+  // A hot key whose window holds an erase ends absent, so wide windows
+  // drain the hot set and more of their applied ops change nothing than at
+  // batch=1 (docs/BENCHMARKING.md, PATHCAS_BENCH_BATCH).
   base.keyRange = 1 << 10;
   base.durationMs = scaledDurationMs(80, 2000);
   base.dist.kind = DistKind::kZipfian;

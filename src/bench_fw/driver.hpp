@@ -32,6 +32,7 @@
 #include "bench_fw/latency.hpp"
 #include "bench_fw/workload.hpp"
 #include "recl/ebr.hpp"
+#include "service/netting.hpp"
 #include "util/backoff.hpp"
 #include "util/defs.hpp"
 #include "util/padding.hpp"
@@ -67,9 +68,9 @@ struct TrialConfig {
   /// "custom" when set by hand). Recorded in CSV/JSON so rows are
   /// self-describing; applyMix / withUpdates keep it in sync.
   std::string mix = "u10";
-  /// Per-worker update batch width, for structures with insertBatch/
-  /// eraseBatch (HasBatchOps): workers buffer this many updates and submit
-  /// each buffer as one sorted, deduplicated group commit. 1 (default) is
+  /// Per-worker update batch width, for structures with updateBatch
+  /// (HasBatchOps): workers buffer this many updates and commit each buffer
+  /// as one netted updateBatch run (service/netting.hpp). 1 (default) is
   /// per-op commits — the k=1 fast-path baseline. Recorded in CSV/JSON;
   /// PATHCAS_BENCH_BATCH selects the sweep values (bench_helpers.hpp).
   int batch = 1;
@@ -115,13 +116,14 @@ struct TrialConfig {
 
 struct TrialResult {
   double mops = 0.0;          // million *submitted* ops per second (total)
-  /// Ops submitted by the workers. Under window netting (batch > 1) a
-  /// buffered update that a later same-key update annihilates is still
-  /// submitted — the client issued and completed it — but never executes
-  /// against the structure. JSON `total_ops` keeps meaning submitted.
+  /// Ops submitted by the workers. Under window netting (batch > 1) one op
+  /// per key and window executes against the structure; the key's other
+  /// buffered updates are still submitted — the client issued and completed
+  /// them — but netting settles them without executing. JSON `total_ops`
+  /// keeps meaning submitted.
   std::uint64_t totalOps = 0;
   /// Ops that actually executed against the structure: submitted minus
-  /// annihilated. Equal to totalOps when batch <= 1. The honest denominator
+  /// netted away. Equal to totalOps when batch <= 1. The honest denominator
   /// for per-op structure cost (batch_commit's attribution uses
   /// mopsApplied, not mops).
   std::uint64_t opsApplied = 0;
@@ -504,34 +506,31 @@ TrialResult runTrial(Set& set, const TrialConfig& cfg,
       // Group-commit mode (cfg.batch > 1 on a HasBatchOps structure):
       // updates are buffered into a window of cfg.batch ops and settled at
       // the flush. All ops in one window are concurrent (the submitter has
-      // not observed any of their results yet), so the flush nets them
-      // per key — the LAST op on a key decides its final presence, and the
-      // earlier ops on that key linearize immediately before it, mutually
-      // cancelling — then submits the net ops as one merged sorted
-      // updateBatch run (the same elimination argument as the ShardedMap
-      // combiner).
-      // Stats and keysum are settled from the net-op outcomes: a key's
-      // keysum contribution changes exactly when its net op succeeds.
+      // not observed any of their results yet), so the flush nets them by
+      // the same rule as the ShardedMap combiner (service/netting.hpp): one
+      // op per key, committed as one sorted updateBatch run, and a result
+      // for every op. The keysum follows those per-op results, so the
+      // trial's keysum check also checks the netting rule.
       // Reads stay immediate.
       struct WinOp {
         std::int64_t key, val;
         std::uint64_t t0Ns;      // latency origin ns (0: not sampled)
         std::uint64_t arrivalNs; // scheduled arrival ns (0: no deadline)
-        std::uint32_t seq;  // submission order: tiebreak so last-op-wins
         bool isInsert;
+        bool result;             // set by the flush
       };
       const bool batching = cfg.batch > 1;
       const std::size_t batchW =
           static_cast<std::size_t>(std::max(cfg.batch, 1));
       std::vector<WinOp> winBuf;
       std::vector<std::int64_t> netKeys, netVals;
-      std::unique_ptr<bool[]> outBuf, netIns;
+      std::unique_ptr<bool[]> netIns, outBuf;
       if (batching) {
         winBuf.reserve(batchW);
-        netKeys.reserve(batchW);
-        netVals.reserve(batchW);
-        outBuf = std::make_unique<bool[]>(batchW);
+        netKeys.resize(batchW);
+        netVals.resize(batchW);
         netIns = std::make_unique<bool[]>(batchW);
+        outBuf = std::make_unique<bool[]>(batchW);
       }
       // Arrival/admission mode flags. Open-loop time runs in NANOSECONDS
       // through TtlClock (real mode: calibrated tsc; virtual mode: the test
@@ -562,58 +561,34 @@ TrialResult runTrial(Set& set, const TrialConfig& cfg,
           // drain is neither pressure nor headroom and adapts nothing.
           if (cause == FlushCause::kFull) flushPol.noteFull();
           else if (cause == FlushCause::kDeadline) flushPol.noteDeadline();
-          // std::sort with a (key, seq) compare: stable_sort's per-call
-          // buffer allocation is measurable at small window sizes.
-          std::sort(winBuf.begin(), winBuf.end(),
-                    [](const WinOp& a, const WinOp& b) {
-                      return a.key != b.key ? a.key < b.key : a.seq < b.seq;
-                    });
-          // Merged flush: the net ops stay one sorted run with per-op
-          // insert/erase flags, so the structure stages both kinds in a
-          // single traversal — one wide KCAS per chunk covers the lot.
-          netKeys.clear();
-          netVals.clear();
-          std::size_t m = 0;
-          for (std::size_t i = 0; i < winBuf.size(); ++i) {
-            if (i + 1 < winBuf.size() && winBuf[i + 1].key == winBuf[i].key)
-              continue;  // not the last op on this key: annihilated
-            netKeys.push_back(winBuf[i].key);
-            netVals.push_back(winBuf[i].val);
-            netIns[m++] = winBuf[i].isInsert;
-          }
-          my.opsApplied += m;  // survivors execute; annihilated ops do not
-          set.updateBatch(netKeys.data(), netVals.data(), netIns.get(), m,
-                          outBuf.get());
-          for (std::size_t i = 0; i < m; ++i) {
-            if (!outBuf[i]) continue;
-            if (netIns[i]) {
-              my.keysumDelta += netKeys[i];
-              keys.noteInsert(netKeys[i]);
-            } else {
-              my.keysumDelta -= netKeys[i];
+          my.opsApplied += service::commitNetted(
+              set, winBuf.data(), winBuf.size(),
+              service::NetRun<std::int64_t, std::int64_t>{
+                  netKeys.data(), netVals.data(), netIns.get(), outBuf.get()});
+          // Every op in the window completes at the flush; a sampled op's
+          // latency (t0Ns != 0) runs from its submission (closed loop) or
+          // scheduled arrival (open loop) to now, so window fill time is
+          // measured as the serving latency it really is. Unsampled ops
+          // carry t0Ns == 0 and are skipped. With an admission deadline,
+          // each op counts toward goodput iff it completed (at this flush)
+          // within its deadline.
+          const std::uint64_t tEndNs =
+              rec != nullptr || trackDeadline ? TtlClock::nowNs() : 0;
+          for (const WinOp& op : winBuf) {
+            if (op.result) {
+              my.keysumDelta += op.isInsert ? op.key : -op.key;
+              if (op.isInsert) keys.noteInsert(op.key);
             }
-          }
-          // Every op in the window — survivor or annihilated — completes at
-          // the flush; a sampled op's latency (t0Ns != 0) runs from its
-          // submission (closed loop) or scheduled arrival (open loop) to
-          // now, so window fill time is measured as the serving latency it
-          // really is. Unsampled ops carry t0Ns == 0 and are skipped. With
-          // an admission deadline, each op counts toward goodput iff it
-          // completed (at this flush) within its deadline.
-          if (rec != nullptr || trackDeadline) {
-            const std::uint64_t tEndNs = TtlClock::nowNs();
-            for (const WinOp& op : winBuf) {
-              if (rec != nullptr && op.t0Ns != 0) {
-                const std::uint64_t durNs =
-                    tEndNs > op.t0Ns ? tEndNs - op.t0Ns : 0;
-                rec->record(op.isInsert ? OpCat::kInsert : OpCat::kErase,
-                            static_cast<std::uint64_t>(durNs * ticksPerNs));
-              }
-              if (trackDeadline && tEndNs >= op.arrivalNs &&
-                  tEndNs - op.arrivalNs <=
-                      static_cast<std::uint64_t>(deadlineNs))
-                ++my.good;
+            if (rec != nullptr && op.t0Ns != 0) {
+              const std::uint64_t durNs =
+                  tEndNs > op.t0Ns ? tEndNs - op.t0Ns : 0;
+              rec->record(op.isInsert ? OpCat::kInsert : OpCat::kErase,
+                          static_cast<std::uint64_t>(durNs * ticksPerNs));
             }
+            if (trackDeadline && tEndNs >= op.arrivalNs &&
+                tEndNs - op.arrivalNs <=
+                    static_cast<std::uint64_t>(deadlineNs))
+              ++my.good;
           }
           winBuf.clear();
         } else {
@@ -638,9 +613,8 @@ TrialResult runTrial(Set& set, const TrialConfig& cfg,
         if (flushTimed && winBuf.empty()) flushPol.windowOpened(nowNs);
         const std::uint64_t t0Ns =
             sampled ? (openLoop ? arrivalNs : nowNs) : 0;
-        winBuf.push_back({key, key, t0Ns, trackDeadline ? arrivalNs : 0,
-                          static_cast<std::uint32_t>(winBuf.size()),
-                          isInsert});
+        winBuf.push_back(
+            {key, key, t0Ns, trackDeadline ? arrivalNs : 0, isInsert, false});
         if (winBuf.size() >= flushPol.window())
           flushBatches(rec, FlushCause::kFull);
         else if (flushTimed && flushPol.deadlineExpired(nowNs))

@@ -49,20 +49,19 @@
 // Flat combining (Config::combineWindow >= 2):
 // every update routes through its shard's combiner. A thread deposits its op
 // in a per-(shard, tid) publication slot and spins; whoever wins the shard's
-// combiner lock gathers up to combineWindow pending ops, merges same-key ops
-// (duplicate inserts/erases collapse, and an insert+erase pair on one key
-// ANNIHILATES — both linearize, zero words staged), and commits the rest via
-// the trees' insertBatch/eraseBatch wide KCAS. A combiner that finds only its
-// own op falls back to a direct per-op commit, so the low-contention cost is
-// one uncontended exchange. The combiner lock is the shard's mutation
-// license: combined windows, map-level batch ops, everything that writes the
-// shard serializes on it (reads stay direct — they are validated snapshots
-// either way). Linearization of a combined window: ops on distinct keys
-// linearize at the window's KCAS commits; same-key groups linearize
-// back-to-back in deposit order at that same commit (for an annihilated
-// pair, at the probe) — legal because every op in the window is concurrent
-// with the whole window: each depositor is still spinning in its call until
-// the combiner publishes its result.
+// combiner lock gathers up to combineWindow pending ops, nets them by the
+// same-key rule of service/netting.hpp (one op per key: an erase if the
+// key's ops include one, else an insert) and commits the net run with one
+// tree updateBatch. A combiner that finds only its own op falls back to a
+// direct per-op commit, so the low-contention cost is one uncontended
+// exchange. The combiner lock is the shard's mutation license: combined
+// windows, map-level batch ops, everything that writes the shard serializes
+// on it (reads stay direct — they are validated snapshots either way).
+// Linearization of a combined window: each key's ops linearize back to back
+// at the commit of its net op, inserts first (netting.hpp derives every
+// op's result from that order) — legal because every op in the window is
+// concurrent with the whole window: each depositor is still spinning in its
+// call until the combiner publishes its result.
 //
 // bulkLoad(sortedKeys, nthreads): parallel construction replacing the serial
 // prefill loop. Keys are pre-sorted; each shard's slice is found by binary
@@ -86,6 +85,7 @@
 #include "bench_fw/latency.hpp"
 #include "kcas/domain.hpp"
 #include "recl/domain_set.hpp"
+#include "service/netting.hpp"
 #include "service/topology.hpp"
 #include "util/backoff.hpp"
 #include "util/defs.hpp"
@@ -180,14 +180,14 @@ class ShardedMap {
 
   bool insert(K key, V val) {
     Shard& sh = shard(key);
-    if (combining()) return combinedUpdate(sh, OpSlot::kInsert, key, val);
+    if (combining()) return combinedUpdate(sh, true, key, val);
     k::ScopedDomain scope(sh.set->kcas());
     return sh.tree->insert(key, val);
   }
 
   bool erase(K key) {
     Shard& sh = shard(key);
-    if (combining()) return combinedUpdate(sh, OpSlot::kErase, key, V{});
+    if (combining()) return combinedUpdate(sh, false, key, V{});
     k::ScopedDomain scope(sh.set->kcas());
     return sh.tree->erase(key);
   }
@@ -499,9 +499,8 @@ class ShardedMap {
   /// of their own.
   struct OpSlot {
     enum : std::uint8_t { kEmpty = 0, kPending = 1, kDone = 2 };
-    enum : std::uint8_t { kInsert = 0, kErase = 1 };
     std::atomic<std::uint8_t> state{kEmpty};
-    std::uint8_t op = kInsert;
+    bool isInsert = true;
     K key{};
     V val{};
     bool result = false;
@@ -556,10 +555,10 @@ class ShardedMap {
   /// Deposit-and-spin protocol (header comment). The depositor either finds
   /// its result published, or wins the combiner lock and serves a window
   /// (its own op included) itself.
-  bool combinedUpdate(Shard& sh, std::uint8_t op, K key, V val) {
+  bool combinedUpdate(Shard& sh, bool isInsert, K key, V val) {
     const int tid = ThreadRegistry::tid();
     OpSlot& my = *sh.slots[static_cast<std::size_t>(tid)];
-    my.op = op;
+    my.isInsert = isInsert;
     my.key = key;
     my.val = val;
     if (config_.combineStats) my.depositTicks = rdtsc();
@@ -607,113 +606,24 @@ class ShardedMap {
       // Low contention: direct per-op commit (the k=1 fast path), no
       // batching overhead beyond the lock exchange.
       OpSlot& s = *ops[0];
-      s.result = (s.op == OpSlot::kInsert) ? sh.tree->insert(s.key, s.val)
-                                           : sh.tree->erase(s.key);
-      s.state.store(OpSlot::kDone, std::memory_order_release);
+      s.result = s.isInsert ? sh.tree->insert(s.key, s.val)
+                            : sh.tree->erase(s.key);
     } else {
-      combineOps(sh, ops, n);
+      K keys[kMaxCombine];
+      V vals[kMaxCombine];
+      bool isInsert[kMaxCombine];
+      bool outcomes[kMaxCombine];
+      commitNetted(*sh.tree, ops, static_cast<std::size_t>(n),
+                   NetRun<K, V>{keys, vals, isInsert, outcomes});
     }
+    for (int i = 0; i < n; ++i)
+      ops[i]->state.store(OpSlot::kDone, std::memory_order_release);
     if (config_.combineStats) {
       // Still under the combiner lock, so the histogram needs no atomics.
       const std::uint64_t now = rdtsc();
       for (int i = 0; i < n; ++i)
         sh.combineWait.record(now >= deposits[i] ? now - deposits[i] : 0);
     }
-  }
-
-  /// Merge a gathered window: group by key, collapse duplicates, annihilate
-  /// mixed groups down to their net effect, and commit the survivors as one
-  /// eraseBatch + one insertBatch (disjoint key sets). Linearization: see
-  /// the header comment.
-  void combineOps(Shard& sh, OpSlot** ops, int n) {
-    // Sort by (key, gather position): same-key groups keep gather order,
-    // as std::stable_sort would, without its temporary buffer from
-    // operator new on every combined window.
-    struct Gathered {
-      OpSlot* op;
-      int pos;
-    };
-    Gathered order[kMaxCombine];
-    for (int i = 0; i < n; ++i) order[i] = Gathered{ops[i], i};
-    std::sort(order, order + n, [](const Gathered& a, const Gathered& b) {
-      return a.op->key != b.op->key ? a.op->key < b.op->key : a.pos < b.pos;
-    });
-    for (int i = 0; i < n; ++i) ops[i] = order[i].op;
-    K insKeys[kMaxCombine];
-    V insVals[kMaxCombine];
-    OpSlot* insOwner[kMaxCombine];
-    K erKeys[kMaxCombine];
-    OpSlot* erOwner[kMaxCombine];
-    int ni = 0, ne = 0;
-    for (int i = 0; i < n;) {
-      int j = i;
-      while (j < n && ops[j]->key == ops[i]->key) ++j;
-      const K k = ops[i]->key;
-      int inserts = 0;
-      for (int t = i; t < j; ++t)
-        if (ops[t]->op == OpSlot::kInsert) ++inserts;
-      if (inserts == j - i) {
-        // Duplicate inserts: only the first can succeed; the rest would
-        // find the key present whatever the prior state.
-        insKeys[ni] = k;
-        insVals[ni] = ops[i]->val;
-        insOwner[ni] = ops[i];
-        ++ni;
-        for (int t = i + 1; t < j; ++t) ops[t]->result = false;
-      } else if (inserts == 0) {
-        erKeys[ne] = k;
-        erOwner[ne] = ops[i];
-        ++ne;
-        for (int t = i + 1; t < j; ++t) ops[t]->result = false;
-      } else {
-        // Mixed inserts and erases on one key: probe once (stable — the
-        // combiner lock excludes every other mutator on this shard),
-        // linearize the group in gather order, and stage only the NET
-        // effect; a group whose net is a no-op annihilates entirely.
-        const bool present = sh.tree->contains(k);
-        bool state = present;
-        OpSlot* lastIns = nullptr;
-        for (int t = i; t < j; ++t) {
-          if (ops[t]->op == OpSlot::kInsert) {
-            ops[t]->result = !state;
-            state = true;
-            lastIns = ops[t];
-          } else {
-            ops[t]->result = state;
-            state = false;
-          }
-        }
-        if (state && !present) {
-          insKeys[ni] = k;
-          insVals[ni] = lastIns->val;
-          insOwner[ni] = nullptr;  // results already decided by simulation
-          ++ni;
-        } else if (!state && present) {
-          erKeys[ne] = k;
-          erOwner[ne] = nullptr;
-          ++ne;
-        }
-      }
-      i = j;
-    }
-    bool outcomes[kMaxCombine];
-    if (ne > 0) {
-      sh.tree->eraseBatch(erKeys, static_cast<std::size_t>(ne), outcomes);
-      for (int t = 0; t < ne; ++t) {
-        if (erOwner[t] != nullptr) erOwner[t]->result = outcomes[t];
-        else PATHCAS_DCHECK(outcomes[t]);  // probe said present; no other mutator
-      }
-    }
-    if (ni > 0) {
-      sh.tree->insertBatch(insKeys, insVals, static_cast<std::size_t>(ni),
-                           outcomes);
-      for (int t = 0; t < ni; ++t) {
-        if (insOwner[t] != nullptr) insOwner[t]->result = outcomes[t];
-        else PATHCAS_DCHECK(outcomes[t]);
-      }
-    }
-    for (int t = 0; t < n; ++t)
-      ops[t]->state.store(OpSlot::kDone, std::memory_order_release);
   }
 
   /// Call f(shard, lo, hi) for each maximal same-shard slice of an

@@ -3,8 +3,9 @@
 // interleavings, chunk-split determinism (outcomes must not depend on
 // batchOpsPerCommit), graceful degradation when the staging budget
 // overflows on deep trees, the mixed-run two-child/deferred erase shapes,
-// and windowed linearizability stress mixing batched submissions with
-// racing single-op commits — on the plain trees and on the sharded
+// the same-key netting rule (service/netting.hpp) against a sequential
+// replay, and windowed linearizability stress mixing batched submissions
+// with racing single-op commits — on the plain trees and on the sharded
 // frontend (including with the flat combiner enabled), so one suite covers
 // every layer a batch can commit through.
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <barrier>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <set>
 #include <thread>
 #include <utility>
@@ -21,6 +23,7 @@
 
 #include "bench_fw/adapters.hpp"
 #include "lin_check.hpp"
+#include "service/netting.hpp"
 #include "service/sharded_map.hpp"
 #include "trees/int_avl_pathcas.hpp"
 #include "trees/int_bst_pathcas.hpp"
@@ -302,6 +305,126 @@ TEST(BatchOps, MixedRunTwoChildAndDeferredErase) {
 }
 
 // ---------------------------------------------------------------------
+// The same-key netting rule against a sequential replay: every sequence of
+// 1-4 ops on one key, from absent and from present, then random multi-key
+// windows. The rule leaves the window in its linearization order, so each
+// op's result must equal what a replay of that order returns, and the net
+// run applied to the initial state must end where the replay ends.
+// ---------------------------------------------------------------------
+
+using Contents = std::map<std::int64_t, std::int64_t>;
+
+struct NetTestOp {
+  std::int64_t key, val;
+  bool isInsert;
+  bool result;
+};
+
+/// updateBatch target over a std::map: checks that the net run is strictly
+/// ascending and applies it op by op.
+struct NetModel {
+  Contents contents;
+  int calls = 0;
+  std::size_t updateBatch(const std::int64_t* keys, const std::int64_t* vals,
+                          const bool* isInsert, std::size_t n, bool* out) {
+    ++calls;
+    std::size_t applied = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i > 0) {
+        EXPECT_LT(keys[i - 1], keys[i]);
+      }
+      out[i] = isInsert[i] ? contents.emplace(keys[i], vals[i]).second
+                           : contents.erase(keys[i]) != 0;
+      applied += out[i];
+    }
+    return applied;
+  }
+};
+
+/// Net `window` from `initial` and check it against the replay, netting
+/// the ops in place (the driver's form) or through pointers (the
+/// combiner's).
+template <bool kViaPointers>
+void checkNetting(std::vector<NetTestOp> window, const Contents& initial) {
+  NetModel target{initial};
+  const std::size_t n = window.size();
+  std::vector<std::int64_t> keys(n), vals(n);
+  auto isInsert = std::make_unique<bool[]>(n);
+  auto outcomes = std::make_unique<bool[]>(n);
+  const service::NetRun<std::int64_t, std::int64_t> run{
+      keys.data(), vals.data(), isInsert.get(), outcomes.get()};
+  std::size_t m = 0;
+  if constexpr (kViaPointers) {
+    std::vector<NetTestOp*> ptrs;
+    for (NetTestOp& op : window) ptrs.push_back(&op);
+    m = service::commitNetted(target, ptrs.data(), n, run);
+    std::vector<NetTestOp> ordered;
+    for (const NetTestOp* op : ptrs) ordered.push_back(*op);
+    window = ordered;
+  } else {
+    m = service::commitNetted(target, window.data(), n, run);
+  }
+  EXPECT_EQ(target.calls, 1);
+  std::set<std::int64_t> distinct;
+  for (const NetTestOp& op : window) distinct.insert(op.key);
+  EXPECT_EQ(m, distinct.size());
+
+  Contents replay = initial;
+  for (std::size_t i = 0; i < n; ++i) {
+    const NetTestOp& op = window[i];
+    if (i > 0) {  // ascending keys, inserts before erases
+      const NetTestOp& prev = window[i - 1];
+      EXPECT_TRUE(prev.key < op.key ||
+                  (prev.key == op.key && (prev.isInsert || !op.isInsert)));
+    }
+    const bool expect = op.isInsert ? replay.emplace(op.key, op.val).second
+                                    : replay.erase(op.key) != 0;
+    EXPECT_EQ(op.result, expect)
+        << "op " << i << " (" << (op.isInsert ? "insert " : "erase ")
+        << op.key << ") of " << n;
+  }
+  EXPECT_EQ(target.contents, replay);
+}
+
+TEST(BatchOps, NettingRuleEverySameKeySequence) {
+  constexpr std::int64_t kKey = 5;
+  for (const Contents& initial : {Contents{}, Contents{{kKey, 99}}}) {
+    for (std::size_t len = 1; len <= 4; ++len) {
+      for (unsigned mask = 0; mask < (1u << len); ++mask) {
+        SCOPED_TRACE("present " + std::to_string(initial.size()) + ", len " +
+                     std::to_string(len) + ", insert mask " +
+                     std::to_string(mask));
+        std::vector<NetTestOp> window;
+        for (std::size_t i = 0; i < len; ++i)
+          window.push_back({kKey, static_cast<std::int64_t>(10 + i),
+                            ((mask >> i) & 1u) != 0, false});
+        checkNetting<false>(window, initial);
+        checkNetting<true>(window, initial);
+      }
+    }
+  }
+}
+
+TEST(BatchOps, NettingRuleRandomWindows) {
+  Xoshiro256 rng(0x4E77);
+  for (int round = 0; round < 2000; ++round) {
+    constexpr std::uint64_t kKeys = 8;
+    Contents initial;
+    for (std::uint64_t k = 0; k < kKeys; ++k)
+      if (rng.nextBounded(2) != 0)
+        initial.emplace(static_cast<std::int64_t>(k), 99);
+    std::vector<NetTestOp> window(1 + rng.nextBounded(64));
+    for (std::size_t i = 0; i < window.size(); ++i)
+      window[i] = {static_cast<std::int64_t>(rng.nextBounded(kKeys)),
+                   static_cast<std::int64_t>(100 + i),
+                   rng.nextBounded(2) != 0, false};
+    SCOPED_TRACE("round " + std::to_string(round));
+    checkNetting<false>(window, initial);
+    checkNetting<true>(window, initial);
+  }
+}
+
+// ---------------------------------------------------------------------
 // Windowed linearizability stress with batched submissions racing
 // single-op commits. One submitter thread issues a batch of kBatchW
 // distinct-key ops per round; point threads race insert/erase/contains/
@@ -478,11 +601,13 @@ TEST(BatchOps, LinStressShardedCombining) {
   // Batched submissions AND the flat combiner active on the same shards:
   // batch slices take the combiner lock while point ops route through
   // publication slots — the two commit paths must still compose into one
-  // linearizable history.
+  // linearizable history. Uniform-kind rounds, then mixed rounds.
   BstMap::Config cfg;
   cfg.combineWindow = 8;
-  BstMap map(2, 16, cfg);
-  runBatchLinStress<BatchKind::kUniform>(map, 250, 16, 0x11C0);
+  BstMap uniform(2, 16, cfg);
+  runBatchLinStress<BatchKind::kUniform>(uniform, 250, 16, 0x11C0);
+  BstMap mixed(2, 16, cfg);
+  runBatchLinStress<BatchKind::kMixed>(mixed, 250, 16, 0x11C4);
 }
 
 }  // namespace

@@ -334,10 +334,10 @@ TEST(DriverLatency, BatchedTrialSplitsSubmittedFromApplied) {
   ASSERT_TRUE(r.lat.valid);
   EXPECT_GT(r.totalOps, 0u);
   // Netting may only ever reduce: applied <= submitted, and under zipfian
-  // skew on a 1k key range some window ops must annihilate.
+  // skew on a 1k key range some window ops must be netted away.
   EXPECT_LT(r.opsApplied, r.totalOps);
-  // Every op still completes and records — annihilated ops complete at their
-  // window's flush.
+  // Every op still completes and records — ops settled by netting without
+  // executing complete at their window's flush.
   EXPECT_EQ(r.lat.overall.count, r.totalOps);
   EXPECT_LE(r.mopsApplied, r.mops);
 }

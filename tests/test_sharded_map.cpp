@@ -10,12 +10,17 @@
 //     after some prefix of mutations consistent with the scan's interval —
 //     the single-mutator specialization of linearizability that pins down
 //     exactly the "no half-applied stitch" guarantee;
+//   * a mixed same-key pair served by one combined window: its results and
+//     the final value match one sequential order of the two ops;
 //   * zero-leak teardown via per-shard DomainSet counters.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <optional>
 #include <set>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -168,9 +173,10 @@ TEST(ShardedMap, SequentialOracleAcrossShardCounts) {
 
 /// Thin set facade with the shard geometry the stress wants: keySpace 8 over
 /// 4 shards means slice width 2, so ~all multi-key windows cross shards.
-template <int NShards, std::int64_t KeySpace>
+/// CombineWindow >= 2 routes every update through the shards' combiners.
+template <int NShards, std::int64_t KeySpace, int CombineWindow = 0>
 struct SmallShardedSet {
-  BstMap map{NShards, KeySpace};
+  BstMap map{NShards, KeySpace, BstMap::Config{.combineWindow = CombineWindow}};
   bool insert(Key k, Val v) { return map.insert(k, v); }
   bool erase(Key k) { return map.erase(k); }
   bool contains(Key k) { return map.contains(k); }
@@ -183,6 +189,15 @@ TEST(ShardedMapLinearizable, WindowedHistoryUnderChurn) {
   SmallShardedSet<4, 8> set;
   runRqLinStress(set, /*threads=*/4, /*rounds=*/2500, /*keySpace=*/8,
                  /*seed=*/0x5eed0010);
+  set.map.checkInvariants();
+}
+
+TEST(ShardedMapLinearizable, WindowedHistoryUnderChurnCombining) {
+  // Four threads on 8 keys through combiners of window 8: a combined window
+  // often holds a mixed same-key group, netted to one op.
+  SmallShardedSet<4, 8, 8> set;
+  runRqLinStress(set, /*threads=*/4, /*rounds=*/2500, /*keySpace=*/8,
+                 /*seed=*/0x5eed0012);
   set.map.checkInvariants();
 }
 
@@ -394,6 +409,103 @@ TEST(ShardedMapCounters, CombineWaitCountsEveryUpdate) {
   for (Key k = 0; k < 16; ++k) quiet.insert(k, k);
   EXPECT_EQ(quiet.shardSchedCount(0) + quiet.shardSchedCount(1), 0u);
   EXPECT_TRUE(quiet.shardSchedP99Ns().empty());
+}
+
+// ---------------------------------------------------------------------------
+// A mixed same-key pair in one combined window.
+// ---------------------------------------------------------------------------
+
+/// A shard tree whose next updateBatch after `armed` is set parks inside the
+/// call until `released`. Called from the map-level updateBatch, it holds
+/// the shard's combiner lock, so updates deposited meanwhile wait for one
+/// combiner to serve them together. Counts the combiner's updateBatch calls.
+class HoldingBst : public ds::IntBstPathCas<Key, Val> {
+  using Base = ds::IntBstPathCas<Key, Val>;
+
+ public:
+  HoldingBst(OptionsType opts, recl::EbrDomain& ebr,
+             recl::NodePool<Node>* pool)
+      : Base(opts, ebr, pool) {}
+
+  std::size_t updateBatch(const Key* keys, const Val* vals,
+                          const bool* isInsert, std::size_t n, bool* out) {
+    if (armed.exchange(false)) {
+      held.store(true);
+      while (!released.load()) std::this_thread::yield();
+    } else {
+      unheldCalls.fetch_add(1);
+    }
+    return Base::updateBatch(keys, vals, isInsert, n, out);
+  }
+
+  static inline std::atomic<bool> armed{false}, held{false}, released{false};
+  static inline std::atomic<int> unheldCalls{0};
+};
+
+TEST(ShardedMapCombining, MixedSameKeyWindowMatchesASequentialOrder) {
+  // A present (k, v1) meets erase(k) and insert(k, v2) in one combined
+  // window. The two sequential orders give (erase true, insert true, v2) and
+  // (insert false, erase true, absent); both ops reporting success while
+  // get(k) still reads v1 matches neither.
+  using HoldMap = service::ShardedMap<HoldingBst>;
+  HoldMap::Config cfg;
+  cfg.combineWindow = 8;
+  HoldMap map(1, 64, cfg);
+  constexpr Key kKey = 7, kHeldKey = 40;
+  constexpr int kRounds = 40;
+  int failed = 0, combined = 0;
+  for (int r = 0; r < kRounds; ++r) {
+    const Val v1 = 1000 + 2 * r, v2 = v1 + 1;
+    ASSERT_TRUE(map.insert(kKey, v1));
+    HoldingBst::released = false;
+    HoldingBst::held = false;
+    HoldingBst::armed = true;
+    std::thread holder([&] {
+      ThreadGuard tg;
+      const Key key = kHeldKey;
+      const Val val = kHeldKey;
+      const bool isInsert = true;
+      bool out = false;
+      map.updateBatch(&key, &val, &isInsert, 1, &out);
+    });
+    while (!HoldingBst::held.load()) std::this_thread::yield();
+    const int callsBefore = HoldingBst::unheldCalls.load();
+    std::atomic<int> started{0};
+    bool erased = false, inserted = false;
+    std::thread eraser([&] {
+      ThreadGuard tg;
+      started.fetch_add(1);
+      erased = map.erase(kKey);
+    });
+    std::thread inserter([&] {
+      ThreadGuard tg;
+      started.fetch_add(1);
+      inserted = map.insert(kKey, v2);
+    });
+    while (started.load() < 2) std::this_thread::yield();
+    // Both ops deposit within microseconds of starting; then release the
+    // held call so one combiner gathers them.
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    HoldingBst::released = true;
+    holder.join();
+    eraser.join();
+    inserter.join();
+    if (HoldingBst::unheldCalls.load() > callsBefore) ++combined;
+    const std::optional<Val> got = map.get(kKey);
+    const bool eraseFirst = erased && inserted && got == v2;
+    const bool insertFirst = erased && !inserted && !got.has_value();
+    if (!eraseFirst && !insertFirst) ++failed;
+    EXPECT_TRUE(eraseFirst || insertFirst)
+        << "round " << r << ": erase " << erased << ", insert " << inserted
+        << ", get " << (got ? std::to_string(*got) : "absent") << " (v1 "
+        << v1 << ", v2 " << v2 << ")";
+    map.erase(kKey);
+    ASSERT_TRUE(map.erase(kHeldKey));
+  }
+  EXPECT_EQ(failed, 0) << "of " << kRounds << " rounds";
+  // The pair really shared a window (one netted updateBatch) in some rounds.
+  EXPECT_GT(combined, 0);
+  map.checkInvariants();
 }
 
 // ---------------------------------------------------------------------------
