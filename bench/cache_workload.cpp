@@ -21,7 +21,9 @@
 // × capacity fraction ∈ {5%, 25%, 50%} × PATHCAS_BENCH_THREADS. Setting
 // PATHCAS_BENCH_DIST collapses the distribution axis to that one spec (the
 // CI smoke runs `zipfian:0.99`); PATHCAS_BENCH_LATENCY / _ARRIVAL / _SCALE /
-// _JSON behave as everywhere else. The operation mix is the cache-aside
+// _JSON behave as everywhere else, except that this loop has no admission
+// queue: an arrival spec's q/d suffixes are dropped with a warning, so the
+// `arrival` field names what ran. The operation mix is the cache-aside
 // loop itself (not a set mix), so PATHCAS_BENCH_MIX does not apply; the
 // `mix` identity column carries the capacity fraction ("cache-cf25").
 #include <algorithm>
@@ -324,7 +326,14 @@ int main() {
   base.keyRange = scaledKeys(1 << 14, 1 << 18);
   base.durationMs = scaledDurationMs(80, 1000);
   applyEnvLatency(base);
-  applyEnvArrival(base);
+  if (applyEnvArrival(base) &&
+      (base.arrival.qdepth > 0 || base.arrival.deadlineNs > 0)) {
+    std::fprintf(stderr,
+                 "cache_workload: no admission queue; ignoring the q/d "
+                 "suffixes of PATHCAS_BENCH_ARRIVAL\n");
+    base.arrival.qdepth = 0;
+    base.arrival.deadlineNs = 0;
+  }
 
   if (applyEnvDist(base)) {
     // Single-distribution mode (the CI smoke): just that spec's grid.

@@ -1,5 +1,6 @@
-// Overload-protection goodput profile: what admission control buys when the
-// offered load crosses capacity.
+// Overload and tail-latency serving profile: what the open loop measures
+// once the offered load nears capacity, and what admission control buys
+// when it crosses it.
 //
 // Each (structure, batch) cell first runs a CLOSED-loop capacity probe
 // (latency on, unsampled), then sweeps OPEN-loop offered loads at
@@ -16,30 +17,42 @@
 //             goodput — are ops that completed within the deadline, i.e.
 //             responses a deadline-bound client was still waiting for.
 //
-// The point of the curve: past saturation the shed-off p99 explodes (it
-// measures backlog, per the coordinated-omission argument) while the shed-on
-// trial keeps executing near capacity with a bounded admitted p99 — the
-// queue wait of an admitted op is at most the deadline, by construction.
+// The closed probe and the shed-off rows at 0.5x, 0.9x and 1.1x are the
+// tail-latency comparison. Per the coordinated-omission argument
+// (bench_fw/latency.hpp), the closed-loop p99 stays flat while the
+// open-loop p99 blows up as the rate approaches capacity: closed-loop
+// clients politely stop submitting when the structure stalls, open-loop
+// clients keep the schedule and measure the backlog. Past saturation the
+// shed-on trial keeps executing near capacity with a bounded admitted p99
+// — the queue wait of an admitted op is at most the deadline, by
+// construction. Every trial prints its per-category quantiles
+// (insert/erase/find/rq plus the sched queueing delay) beneath its summary
+// line.
+//
+// Recording runs unsampled (latSampleShift = 0): this bench reports
+// latency, not throughput, so recording every op is worth its cost.
 //
 // The deadline defaults to 5x the cell's 0.5x-load p99 (clamped to
 // [10us, 50ms]) so it scales with the machine instead of hard-coding a
 // latency class; PATHCAS_BENCH_DEADLINE pins it. For batched cells the flush
-// deadline inherits the admission deadline (driver.hpp), exercising the
-// adaptive partial-window flush under low per-worker arrival rates.
+// deadline is the admission deadline (driver.hpp), exercising the adaptive
+// partial-window flush under low per-worker arrival rates.
 //
-// Knobs: PATHCAS_BENCH_THREADS (last count = serving threads),
-// PATHCAS_BENCH_BATCH (default "1,64"), PATHCAS_BENCH_QDEPTH (default 256),
-// PATHCAS_BENCH_DEADLINE (ns; default derived), PATHCAS_BENCH_CAPACITY
-// (ops/sec; pins the probe for join-stable CI rows), PATHCAS_BENCH_DIST /
-// _MIX as usual. PATHCAS_BENCH_LATENCY and _ARRIVAL are ignored: both are
-// this experiment's own axes.
+// Knobs: PATHCAS_BENCH_THREADS (last count = serving threads; the load
+// sweep is the axis, not threads), PATHCAS_BENCH_BATCH (default "1,64"),
+// PATHCAS_BENCH_QDEPTH (default 256), PATHCAS_BENCH_DEADLINE (ns; default
+// derived), PATHCAS_BENCH_CAPACITY (ops/sec; pins the probe for join-stable
+// CI rows), PATHCAS_BENCH_DIST / _MIX as usual. PATHCAS_BENCH_QDEPTH and _DEADLINE are this bench's own
+// sweep settings; no other bench reads them. PATHCAS_BENCH_LATENCY and
+// _ARRIVAL are ignored: both are this experiment's own axes.
 //
 // CSV schema (one row per trial):
 //   csv,overload_profile,<algo>,<threads>,<batch>,<arrival>,<factor>,
 //   <capacity_mops>,<mops>,<goodput_mops>,<ops_offered>,<ops_admitted>,
 //   <ops_shed>,<ops_rejected>,<p50_ns>,<p99_ns>,<sched_p99_ns>,
 //   <deadline_flushes>,<full_flushes>
-// JSON rows (PATHCAS_BENCH_JSON) carry the full admission accounting.
+// JSON rows (PATHCAS_BENCH_JSON) carry the full admission accounting and
+// the per-category latency breakdown.
 #include <cmath>
 #include <cstdio>
 #include <map>
@@ -85,6 +98,17 @@ void printOverloadCsv(const std::string& algo, const TrialConfig& cfg,
       static_cast<unsigned long long>(r.fullFlushes));
 }
 
+void printCatRows(const TrialResult& r) {
+  for (int c = 0; c < kNumOpCats; ++c) {
+    const LatencySummary::Cat& cat = r.lat.cat[c];
+    if (cat.count == 0) continue;
+    std::printf("      %-7s n=%-9llu p50=%-9.0f p99=%-9.0f p999=%-9.0f "
+                "max=%.0f ns\n",
+                kOpCatNames[c], static_cast<unsigned long long>(cat.count),
+                cat.p50Ns, cat.p99Ns, cat.p999Ns, cat.maxNs);
+  }
+}
+
 template <typename Adapter>
 TrialResult runOverloadCell(const TrialConfig& cfg, double factor,
                             double capacityMops) {
@@ -102,6 +126,7 @@ TrialResult runOverloadCell(const TrialConfig& cfg, double factor,
               cfg.arrival.label().c_str(), r.mops, r.goodputMops,
               r.lat.overall.p99Ns, static_cast<unsigned long long>(r.opsShed),
               static_cast<unsigned long long>(r.opsRejected));
+  printCatRows(r);
   if (!r.shardSchedP99Ns.empty()) {
     std::printf("      shard sched p99 ns:");
     for (double v : r.shardSchedP99Ns) std::printf(" %.0f", v);
@@ -133,6 +158,8 @@ bool profileCell(TrialConfig cfg) {
   if (capacity <= 0.0) return false;
   const double capacityMops = capacity / 1e6;
 
+  // Round to whole ops/sec: the capacity estimate carries no sub-op/sec
+  // information and integral rates keep the arrival labels readable.
   auto rateFor = [capacity](double f) {
     return std::max(1.0, std::round(capacity * f));
   };
@@ -193,6 +220,9 @@ template <typename Adapter>
 void profileStructure(const TrialConfig& base,
                       const std::vector<int>& batches) {
   for (int b : batches) {
+    // A batch axis only exists on structures with group commits; a batch>1
+    // cell on anything else silently degenerates to per-op and would just
+    // duplicate the batch=1 rows.
     if (b > 1 && !HasBatchOps<Adapter>) continue;
     TrialConfig cfg = base;
     cfg.batch = b;
@@ -229,6 +259,7 @@ int main() {
               "deadline_flushes,full_flushes\n");
 
   profileStructure<PathCasBstAdapter<false>>(base, batches);
+  profileStructure<PathCasAvlAdapter<false>>(base, batches);
   {
     // Sharded frontend with combining: per-shard combiner-queueing p99s
     // (shard_sched_p99_ns) attribute the sched column under overload.

@@ -85,11 +85,11 @@ struct TrialConfig {
   /// (applyEnvLatency).
   bool latency = false;
   /// Recording samples every 2^latSampleShift-th op per thread (default
-  /// 1-in-8): a sampled op pays two rdtsc reads, so on ~250ns ops full
+  /// 1-in-8): a sampled op pays two clock reads, so on ~250ns ops full
   /// recording costs >10% throughput while 1-in-8 stays under ~2%. Quantile
   /// accuracy is unaffected in distribution (sampling is op-count-strided,
   /// uncorrelated with op cost); per-category `count` fields then report
-  /// SAMPLES, not ops. Set 0 to record every op (latency_profile's
+  /// SAMPLES, not ops. Set 0 to record every op (overload_profile's
   /// high-fidelity mode).
   int latSampleShift = 3;
   /// Arrival process (workload.hpp, ArrivalSpec): closed loop (default) or
@@ -97,21 +97,17 @@ struct TrialConfig {
   /// measured from each op's *scheduled* arrival so coordinated omission
   /// shows up as queueing delay instead of vanishing.
   /// PATHCAS_BENCH_ARRIVAL carries the same grammar (applyEnvArrival).
-  /// `arrival.qdepth` / `arrival.deadlineNs` add admission control on top:
-  /// a bounded per-worker queue (arrivals rejected at the bound) and a
-  /// queue-wait deadline past which queued ops are shed before execution
-  /// (bench_fw/admission.hpp). PATHCAS_BENCH_QDEPTH / PATHCAS_BENCH_DEADLINE
-  /// override them (applyEnvAdmission).
+  /// `arrival.qdepth` / `arrival.deadlineNs` are an open loop's only
+  /// admission settings: a bounded per-worker queue (arrivals rejected at
+  /// the bound) and a queue-wait deadline past which queued ops are shed
+  /// before execution (bench_fw/admission.hpp). The deadline is also the
+  /// batching window's flush deadline: a partially filled window is flushed
+  /// once its oldest buffered op is this old, and the window width adapts —
+  /// shrink under deadline pressure, regrow under headroom
+  /// (AdaptiveFlushPolicy). Without a deadline, windows flush only when
+  /// full or at the stop drain — the pre-adaptive behavior, where a cold
+  /// window can hold an op indefinitely at a low offered rate.
   ArrivalSpec arrival;
-  /// Flush deadline for the batching netting window, in nanoseconds: a
-  /// partially filled window is flushed once its oldest buffered op is this
-  /// old, and the window width adapts — shrink under deadline pressure,
-  /// regrow under headroom (bench_fw/admission.hpp, AdaptiveFlushPolicy).
-  /// 0 defers to the admission deadline (arrival.deadlineNs) when one is
-  /// set; with neither, windows flush only when full (the pre-adaptive
-  /// behavior, where a cold window could hold an op indefinitely at low
-  /// offered rate). PATHCAS_BENCH_FLUSH_DEADLINE overrides.
-  std::int64_t flushDeadlineNs = 0;
 };
 
 struct TrialResult {
@@ -282,42 +278,6 @@ inline bool applyEnvArrival(TrialConfig& cfg) {
   return true;
 }
 
-/// Admission-control knobs: PATHCAS_BENCH_QDEPTH (per-worker queue bound),
-/// PATHCAS_BENCH_DEADLINE (queue-wait shed deadline, ns) and
-/// PATHCAS_BENCH_FLUSH_DEADLINE (netting-window flush deadline, ns). The
-/// first two land in cfg.arrival and take effect only for open-loop
-/// arrivals; 0 disables each. Returns true iff any knob was applied;
-/// malformed values warn on stderr and are ignored.
-inline bool applyEnvAdmission(TrialConfig& cfg) {
-  bool any = false;
-  const auto knob = [&any](const char* name, auto&& apply) {
-    const char* v = std::getenv(name);
-    if (v == nullptr || *v == '\0') return;
-    std::int64_t parsed = 0;
-    if (detail::parseInt64(v, &parsed) && parsed >= 0) {
-      apply(parsed);
-      any = true;
-    } else {
-      static bool warned = false;  // once per process, not per sweep cell
-      if (!warned) {
-        warned = true;
-        std::fprintf(stderr,
-                     "ignoring malformed %s=\"%s\" (want a non-negative "
-                     "integer)\n",
-                     name, v);
-      }
-    }
-  };
-  knob("PATHCAS_BENCH_QDEPTH", [&cfg](std::int64_t v) {
-    cfg.arrival.qdepth = static_cast<int>(std::min<std::int64_t>(v, INT32_MAX));
-  });
-  knob("PATHCAS_BENCH_DEADLINE",
-       [&cfg](std::int64_t v) { cfg.arrival.deadlineNs = v; });
-  knob("PATHCAS_BENCH_FLUSH_DEADLINE",
-       [&cfg](std::int64_t v) { cfg.flushDeadlineNs = v; });
-  return any;
-}
-
 /// All the environment overrides, honoured by every bench that goes
 /// through sweepThreads (and applied explicitly by the benches that drive
 /// runTrial themselves). Benches whose mix IS the experiment's axis
@@ -327,7 +287,6 @@ inline void applyEnvWorkload(TrialConfig& cfg) {
   applyEnvMix(cfg);
   applyEnvLatency(cfg);
   applyEnvArrival(cfg);
-  applyEnvAdmission(cfg);
 }
 
 /// One-line workload description for bench headers, e.g.
@@ -438,13 +397,25 @@ std::int64_t prefillHalf(Set& set, std::int64_t keyRange,
 
 /// Run one timed trial against a prefilled set. `prefillSum` is the keysum
 /// after prefill, used for validation.
+///
+/// Each worker serves every op in three steps:
+///   1. arrival: a closed-loop op is submitted at once; an open-loop op
+///      waits for its scheduled arrival, through the admission queue when
+///      the arrival spec bounds it;
+///   2. run or buffer: reads and unbatched updates execute at once, and a
+///      batched update joins the netting window that executes at its flush;
+///   3. complete: complete(op, endNs) applies the op's result to the
+///      keysum, records its latency and counts its goodput, whether the op
+///      ran at once or was netted at a window flush.
+/// Every latency origin and end is a TtlClock nanosecond, and an unsampled
+/// closed-loop op reads no clock at all.
 template <typename Set>
 TrialResult runTrial(Set& set, const TrialConfig& cfg,
                      std::int64_t prefillSum) {
   struct alignas(kNoFalseSharing) PerThread {
-    std::uint64_t ops = 0, inserts = 0, deletes = 0, finds = 0;
-    std::uint64_t opsApplied = 0;
-    std::uint64_t rqs = 0, rqKeys = 0;
+    std::uint64_t ops = 0, opsApplied = 0;
+    std::uint64_t byCat[4] = {};  // insert, erase, find, rq (OpCat order)
+    std::uint64_t rqKeys = 0;
     std::int64_t keysumDelta = 0;
     std::uint64_t cycles = 0;
     // Admission accounting (== ops/0/0/ops without admission control) and
@@ -460,9 +431,8 @@ TrialResult runTrial(Set& set, const TrialConfig& cfg,
     PATHCAS_CHECK(cfg.arrival.ratePerSec > 0.0 &&
                   "open-loop arrival needs a positive rate");
   // Force the one-time tsc→ns calibration (a ~20ms spin) before any worker
-  // exists, so it can never land inside a timed window. ns_per_op needs it
-  // unconditionally; open-loop arrival additionally needs ticks-per-ns to
-  // turn nanosecond gaps into rdtsc deadlines.
+  // exists, so it can never land inside a timed window: ns_per_op and every
+  // TtlClock read need it, and recording turns ns durations into ticks.
   const double nsPerTick = TscCal::nsPerTick();
   const double ticksPerNs = 1.0 / nsPerTick;
   std::vector<PerThread> stats(static_cast<std::size_t>(cfg.threads));
@@ -500,8 +470,57 @@ TrialResult runTrial(Set& set, const TrialConfig& cfg,
       KeyGen keys(cfg.dist, cfg.keyRange, &wstate, cfg.seed, t, cfg.threads);
       Xoshiro256 rng(cfg.seed * 1000003 + static_cast<std::uint64_t>(t));
       PerThread& my = stats[static_cast<std::size_t>(t)];
+      LatencyRecorder* rec =
+          cfg.latency ? &recs[static_cast<std::size_t>(t)] : nullptr;
       std::vector<std::pair<std::int64_t, std::int64_t>> rqBuf;
       rqBuf.reserve(static_cast<std::size_t>(cfg.rqSize));
+
+      // Admission comes from the arrival spec alone, and only an open loop
+      // has any: a bounded per-worker queue (q) and a queue-wait deadline
+      // (d). The deadline is also the netting window's flush deadline: an
+      // op the client would shed for queue-waiting must not sit just as
+      // long in a cold window. Time runs in TtlClock nanoseconds (real
+      // mode: calibrated tsc; virtual mode: the test clock), so admission
+      // and flush decisions are deterministic under a pinned virtual clock.
+      const bool openLoop = cfg.arrival.open;
+      const int qdepth = openLoop ? cfg.arrival.qdepth : 0;
+      const std::uint64_t deadlineNs =
+          openLoop && cfg.arrival.deadlineNs > 0
+              ? static_cast<std::uint64_t>(cfg.arrival.deadlineNs)
+              : 0;
+      const bool admission = qdepth > 0 || deadlineNs > 0;
+      ArrivalGen arrivals(
+          openLoop ? cfg.arrival.ratePerSec / cfg.threads : 1.0, cfg.seed, t);
+      AdmissionQueue aq(qdepth, static_cast<std::int64_t>(deadlineNs));
+
+      // One record per op. The netting rule (service/netting.hpp) reads a
+      // buffered op's key, val and isInsert and sets its result.
+      struct Op {
+        std::int64_t key, val;
+        std::uint64_t t0Ns;       // latency origin (0: unsampled)
+        std::uint64_t arrivalNs;  // scheduled arrival (0: closed loop)
+        OpCat cat;
+        bool isInsert;            // cat == OpCat::kInsert
+        bool result;              // true iff an update changed the set
+      };
+      const auto since = [](std::uint64_t endNs, std::uint64_t originNs) {
+        return endNs > originNs ? endNs - originNs : 0;
+      };
+      // Complete one op at endNs: the only place an op's result reaches the
+      // keysum, its latency the recorder, and its completion the goodput
+      // count (without a deadline every completed op is good). endNs is 0
+      // unless the op is sampled or a deadline judges it.
+      const auto complete = [&](const Op& op, std::uint64_t endNs) {
+        if (op.result) {
+          my.keysumDelta += op.isInsert ? op.key : -op.key;
+          if (op.isInsert) keys.noteInsert(op.key);
+        }
+        if (op.t0Ns != 0)
+          rec->record(op.cat, static_cast<std::uint64_t>(
+                                  since(endNs, op.t0Ns) * ticksPerNs));
+        if (deadlineNs == 0 || since(endNs, op.arrivalNs) <= deadlineNs)
+          ++my.good;
+      };
 
       // Group-commit mode (cfg.batch > 1 on a HasBatchOps structure):
       // updates are buffered into a window of cfg.batch ops and settled at
@@ -512,113 +531,96 @@ TrialResult runTrial(Set& set, const TrialConfig& cfg,
       // for every op. The keysum follows those per-op results, so the
       // trial's keysum check also checks the netting rule.
       // Reads stay immediate.
-      struct WinOp {
-        std::int64_t key, val;
-        std::uint64_t t0Ns;      // latency origin ns (0: not sampled)
-        std::uint64_t arrivalNs; // scheduled arrival ns (0: no deadline)
-        bool isInsert;
-        bool result;             // set by the flush
-      };
-      const bool batching = cfg.batch > 1;
+      const bool batching = HasBatchOps<Set> && cfg.batch > 1;
       const std::size_t batchW =
           static_cast<std::size_t>(std::max(cfg.batch, 1));
-      std::vector<WinOp> winBuf;
+      std::vector<Op> win;
       std::vector<std::int64_t> netKeys, netVals;
-      std::unique_ptr<bool[]> netIns, outBuf;
+      std::unique_ptr<bool[]> netIns, netOut;
       if (batching) {
-        winBuf.reserve(batchW);
+        win.reserve(batchW);
         netKeys.resize(batchW);
         netVals.resize(batchW);
         netIns = std::make_unique<bool[]>(batchW);
-        outBuf = std::make_unique<bool[]>(batchW);
+        netOut = std::make_unique<bool[]>(batchW);
       }
-      // Arrival/admission mode flags. Open-loop time runs in NANOSECONDS
-      // through TtlClock (real mode: calibrated tsc; virtual mode: the test
-      // clock), so admission and flush-deadline decisions are deterministic
-      // under a pinned virtual clock. The closed-loop unbatched hot path
-      // keeps its raw-rdtsc timing untouched.
-      const bool openLoop = cfg.arrival.open;
-      const int qdepth = cfg.arrival.qdepth;
-      const std::int64_t deadlineNs = cfg.arrival.deadlineNs;
-      const bool admission = openLoop && (qdepth > 0 || deadlineNs > 0);
-      const bool trackDeadline = openLoop && deadlineNs > 0;
-      // Flush deadline: the explicit knob first, else inherit the admission
-      // deadline — an op the client would shed for queue-waiting must not
-      // sit just as long in a cold netting window.
-      const std::int64_t effFlushDeadlineNs =
-          cfg.flushDeadlineNs > 0 ? cfg.flushDeadlineNs
-                                  : (trackDeadline ? deadlineNs : 0);
-      AdaptiveFlushPolicy flushPol(
-          batchW, effFlushDeadlineNs > 0
-                      ? static_cast<std::uint64_t>(effFlushDeadlineNs)
-                      : 0);
+      AdaptiveFlushPolicy flushPol(batchW, deadlineNs);
       const bool flushTimed = batching && flushPol.timed();
-      enum class FlushCause { kFull, kDeadline, kDrain };
-      auto flushBatches = [&](LatencyRecorder* rec, FlushCause cause) {
+      // Every op in the window completes at the flush, so window fill time
+      // is measured as the serving latency it really is. The caller notes
+      // the trigger (full or deadline) on flushPol first; the stop drain is
+      // neither pressure nor headroom and notes nothing.
+      const auto flush = [&] {
         if constexpr (HasBatchOps<Set>) {
-          if (winBuf.empty()) return;
-          // Adapt the window width by what triggered the flush; the stop
-          // drain is neither pressure nor headroom and adapts nothing.
-          if (cause == FlushCause::kFull) flushPol.noteFull();
-          else if (cause == FlushCause::kDeadline) flushPol.noteDeadline();
+          if (win.empty()) return;
           my.opsApplied += service::commitNetted(
-              set, winBuf.data(), winBuf.size(),
+              set, win.data(), win.size(),
               service::NetRun<std::int64_t, std::int64_t>{
-                  netKeys.data(), netVals.data(), netIns.get(), outBuf.get()});
-          // Every op in the window completes at the flush; a sampled op's
-          // latency (t0Ns != 0) runs from its submission (closed loop) or
-          // scheduled arrival (open loop) to now, so window fill time is
-          // measured as the serving latency it really is. Unsampled ops
-          // carry t0Ns == 0 and are skipped. With an admission deadline,
-          // each op counts toward goodput iff it completed (at this flush)
-          // within its deadline.
-          const std::uint64_t tEndNs =
-              rec != nullptr || trackDeadline ? TtlClock::nowNs() : 0;
-          for (const WinOp& op : winBuf) {
-            if (op.result) {
-              my.keysumDelta += op.isInsert ? op.key : -op.key;
-              if (op.isInsert) keys.noteInsert(op.key);
-            }
-            if (rec != nullptr && op.t0Ns != 0) {
-              const std::uint64_t durNs =
-                  tEndNs > op.t0Ns ? tEndNs - op.t0Ns : 0;
-              rec->record(op.isInsert ? OpCat::kInsert : OpCat::kErase,
-                          static_cast<std::uint64_t>(durNs * ticksPerNs));
-            }
-            if (trackDeadline && tEndNs >= op.arrivalNs &&
-                tEndNs - op.arrivalNs <=
-                    static_cast<std::uint64_t>(deadlineNs))
-              ++my.good;
-          }
-          winBuf.clear();
-        } else {
-          (void)rec;
-          (void)cause;
+                  netKeys.data(), netVals.data(), netIns.get(), netOut.get()});
+          const std::uint64_t endNs =
+              rec != nullptr || deadlineNs != 0 ? TtlClock::nowNs() : 0;
+          for (const Op& op : win) complete(op, endNs);
+          win.clear();
+        }
+      };
+      // Buffer one update at nowNs (its admission instant; only a timed
+      // window, which needs an open loop, reads it): stamp the window-open
+      // instant for the flush deadline, then flush on width (adaptive) or,
+      // for a window whose oldest op just aged out, on the deadline.
+      const auto buffer = [&](const Op& op, std::uint64_t nowNs) {
+        if (flushTimed && win.empty()) flushPol.windowOpened(nowNs);
+        win.push_back(op);
+        if (win.size() >= flushPol.window()) {
+          flushPol.noteFull();
+          flush();
+        } else if (flushTimed && flushPol.deadlineExpired(nowNs)) {
+          flushPol.noteDeadline();
+          flush();
         }
       };
 
-      LatencyRecorder* rec =
-          cfg.latency ? &recs[static_cast<std::size_t>(t)] : nullptr;
-      ArrivalGen arrivals(
-          openLoop ? cfg.arrival.ratePerSec / cfg.threads : 1.0, cfg.seed, t);
-      AdmissionQueue aq(qdepth, deadlineNs);
-
-      // Buffer one update into the netting window: stamp the window-open
-      // instant for the flush deadline, then flush on width (adaptive) or,
-      // for a window whose oldest op just aged out, on the deadline.
-      auto bufferUpdate = [&](std::int64_t key, bool isInsert, bool sampled,
-                              std::uint64_t arrivalNs) {
-        std::uint64_t nowNs = 0;
-        if (flushTimed || (sampled && !openLoop)) nowNs = TtlClock::nowNs();
-        if (flushTimed && winBuf.empty()) flushPol.windowOpened(nowNs);
-        const std::uint64_t t0Ns =
-            sampled ? (openLoop ? arrivalNs : nowNs) : 0;
-        winBuf.push_back(
-            {key, key, t0Ns, trackDeadline ? arrivalNs : 0, isInsert, false});
-        if (winBuf.size() >= flushPol.window())
-          flushBatches(rec, FlushCause::kFull);
-        else if (flushTimed && flushPol.deadlineExpired(nowNs))
-          flushBatches(rec, FlushCause::kDeadline);
+      // Open loop: the next not-yet-consumed scheduled arrival. Arrivals
+      // advance in VIRTUAL time, independent of service progress: a worker
+      // that falls behind keeps the (past) scheduled instants as latency
+      // origins, so backlog is measured as queueing delay — the
+      // coordinated-omission fix — instead of silently stretching the
+      // arrival schedule. With admission control, every due arrival is
+      // materialized into the bounded queue first, so overload becomes
+      // rejections (full queue) and sheds (deadline) instead of an
+      // unbounded implicit backlog.
+      std::uint64_t pendingNs = 0;
+      // Wait for the next admitted arrival; set its scheduled instant and
+      // the admission instant. Returns false if the trial stopped first.
+      const auto arrive = [&](std::uint64_t* arrivalNs, std::uint64_t* nowNs) {
+        for (;;) {
+          *nowNs = TtlClock::nowNs();
+          if (admission) {
+            // Materialize every due arrival, then serve the queue front:
+            // reject at the bound, shed past the deadline, admit the rest.
+            while (pendingNs <= *nowNs) {
+              aq.offer(pendingNs);
+              pendingNs += static_cast<std::uint64_t>(arrivals.nextGapNs());
+            }
+            AdmissionQueue::Pop res;
+            do res = aq.pop(*nowNs, arrivalNs);
+            while (res == AdmissionQueue::Pop::kShed);
+            if (res == AdmissionQueue::Pop::kAdmit) return true;
+          } else if (*nowNs >= pendingNs) {
+            *arrivalNs = pendingNs;
+            pendingNs += static_cast<std::uint64_t>(arrivals.nextGapNs());
+            return true;
+          }
+          // Idle until the next scheduled arrival. A timed partial window
+          // still flushes when its oldest op ages out — the cold-window
+          // hang fix: at 1 op/s a buffered update no longer waits for the
+          // window to fill (or the trial to end) to execute.
+          if (stop.load(std::memory_order_relaxed)) return false;
+          if (flushTimed && !win.empty() && flushPol.deadlineExpired(*nowNs)) {
+            flushPol.noteDeadline();
+            flush();
+          }
+          cpuRelax();
+        }
       };
 
       // Sampled recording: every 2^latSampleShift-th op (per thread) is
@@ -633,131 +635,65 @@ TrialResult runTrial(Set& set, const TrialConfig& cfg,
       ready.fetch_add(1);
       while (!go.load(std::memory_order_acquire)) cpuRelax();
       const std::uint64_t c0 = rdtsc();
-      // Open loop: the next not-yet-consumed scheduled arrival, in
-      // TtlClock nanoseconds. Arrivals advance in VIRTUAL time, independent
-      // of service progress: a worker that falls behind keeps the (past)
-      // scheduled instants as latency origins, so backlog is measured as
-      // queueing delay — the coordinated-omission fix — instead of silently
-      // stretching the arrival schedule. With admission control, every due
-      // arrival is materialized into the bounded queue first, so overload
-      // becomes rejections (full queue) and sheds (deadline) instead of an
-      // unbounded implicit backlog.
-      std::uint64_t pendingArrivalNs = 0;
       if (openLoop)
-        pendingArrivalNs = TtlClock::nowNs() +
-                           static_cast<std::uint64_t>(arrivals.nextGapNs());
+        pendingNs = TtlClock::nowNs() +
+                    static_cast<std::uint64_t>(arrivals.nextGapNs());
       while (!stop.load(std::memory_order_relaxed)) {
         const std::int64_t k = keys.next();
         const std::uint64_t dice = rng.nextBounded(1000000000ULL);
         const bool sampled =
             rec != nullptr && (sampleCtr++ & sampleMask) == 0;
-        // Latency origin: the op's scheduled arrival (ns) in open loop
-        // (queueing included), the pre-op rdtsc instant in closed loop.
-        std::uint64_t opStartTicks = 0;
-        std::uint64_t arrivalNs = 0;
+        Op op{k, k, 0, 0, OpCat::kFind, false, false};
+        if (dice < insertCut) {
+          op.cat = OpCat::kInsert;
+          op.isInsert = true;
+        } else if (dice < deleteCut) {
+          op.cat = OpCat::kErase;
+        } else if (dice < rqCut) {
+          op.cat = OpCat::kRq;
+        }
+        // 1. Arrival. The latency origin is the op's scheduled arrival in
+        // open loop (queueing included, and recorded apart as kSched), the
+        // submission instant in closed loop.
+        std::uint64_t nowNs = 0;
         if (openLoop) {
-          bool got = false;
-          std::uint64_t nowNs = TtlClock::nowNs();
-          while (!got) {
-            if (admission) {
-              // Materialize every due arrival, then serve the queue front:
-              // reject at the bound, shed past the deadline, admit the rest.
-              while (pendingArrivalNs <= nowNs) {
-                aq.offer(pendingArrivalNs);
-                pendingArrivalNs +=
-                    static_cast<std::uint64_t>(arrivals.nextGapNs());
-              }
-              const AdmissionQueue::Pop res = aq.pop(nowNs, &arrivalNs);
-              if (res == AdmissionQueue::Pop::kAdmit) {
-                got = true;
-                break;
-              }
-              if (res == AdmissionQueue::Pop::kShed) continue;  // next op
-            } else if (nowNs >= pendingArrivalNs) {
-              arrivalNs = pendingArrivalNs;
-              pendingArrivalNs +=
-                  static_cast<std::uint64_t>(arrivals.nextGapNs());
-              got = true;
-              break;
-            }
-            // Idle until the next scheduled arrival. A timed partial window
-            // still flushes when its oldest op ages out — the cold-window
-            // hang fix: at 1 op/s a buffered update no longer waits for the
-            // window to fill (or the trial to end) to execute.
-            if (stop.load(std::memory_order_relaxed)) break;
-            if (flushTimed && !winBuf.empty() &&
-                flushPol.deadlineExpired(nowNs))
-              flushBatches(rec, FlushCause::kDeadline);
-            cpuRelax();
-            nowNs = TtlClock::nowNs();
-          }
-          if (!got) break;  // stopped while idle pre-arrival
+          if (!arrive(&op.arrivalNs, &nowNs)) break;  // stopped while idle
           if (sampled) {
-            const std::uint64_t waitNs =
-                nowNs > arrivalNs ? nowNs - arrivalNs : 0;
+            op.t0Ns = op.arrivalNs;
             rec->record(OpCat::kSched,
-                        static_cast<std::uint64_t>(waitNs * ticksPerNs));
+                        static_cast<std::uint64_t>(
+                            since(nowNs, op.arrivalNs) * ticksPerNs));
           }
         } else if (sampled) {
-          opStartTicks = rdtsc();
-        }
-        OpCat cat = OpCat::kFind;
-        bool buffered = false;
-        if (dice < insertCut) {
-          cat = OpCat::kInsert;
-          if constexpr (HasBatchOps<Set>) {
-            if (batching) {
-              bufferUpdate(k, true, sampled, arrivalNs);
-              buffered = true;
-            }
-          }
-          if (!buffered && set.insert(k, k)) {
-            my.keysumDelta += k;
-            keys.noteInsert(k);
-          }
-          ++my.inserts;
-        } else if (dice < deleteCut) {
-          cat = OpCat::kErase;
-          if constexpr (HasBatchOps<Set>) {
-            if (batching) {
-              bufferUpdate(k, false, sampled, arrivalNs);
-              buffered = true;
-            }
-          }
-          if (!buffered && set.erase(k)) my.keysumDelta -= k;
-          ++my.deletes;
-        } else if (dice < rqCut) {
-          cat = OpCat::kRq;
-          if constexpr (HasRangeQuery<Set>) {
-            rqBuf.clear();
-            my.rqKeys += static_cast<std::uint64_t>(
-                set.rangeQuery(k, k + cfg.rqSize - 1, rqBuf));
-            ++my.rqs;
-          }
-        } else {
-          (void)set.contains(k);
-          ++my.finds;
+          op.t0Ns = TtlClock::nowNs();
         }
         ++my.ops;
-        // Buffered submissions complete (record + goodput) at their flush.
-        if (!buffered) {
-          ++my.opsApplied;
-          if (openLoop) {
-            if (sampled || trackDeadline) {
-              const std::uint64_t endNs = TtlClock::nowNs();
-              const std::uint64_t durNs =
-                  endNs > arrivalNs ? endNs - arrivalNs : 0;
-              if (sampled)
-                rec->record(cat,
-                            static_cast<std::uint64_t>(durNs * ticksPerNs));
-              if (trackDeadline &&
-                  durNs <= static_cast<std::uint64_t>(deadlineNs))
-                ++my.good;
-            }
-          } else if (sampled) {
-            rec->record(cat, rdtsc() - opStartTicks);
-          }
+        ++my.byCat[static_cast<int>(op.cat)];
+        // 2. Run or buffer.
+        if (batching && op.cat != OpCat::kFind && op.cat != OpCat::kRq) {
+          buffer(op, nowNs);  // completes at its window's flush
+          continue;
         }
+        switch (op.cat) {
+          case OpCat::kInsert:
+            op.result = set.insert(op.key, op.val);
+            break;
+          case OpCat::kErase:
+            op.result = set.erase(op.key);
+            break;
+          case OpCat::kRq:
+            if constexpr (HasRangeQuery<Set>) {
+              rqBuf.clear();
+              my.rqKeys += static_cast<std::uint64_t>(
+                  set.rangeQuery(op.key, op.key + cfg.rqSize - 1, rqBuf));
+            }
+            break;
+          default:
+            (void)set.contains(op.key);
+        }
+        ++my.opsApplied;
+        // 3. Complete.
+        complete(op, sampled || deadlineNs != 0 ? TtlClock::nowNs() : 0);
       }
       // Stop the per-thread clock BEFORE the post-stop drain: my.cycles
       // covers exactly the timed window, so ns/op and cycles/op no longer
@@ -765,17 +701,14 @@ TrialResult runTrial(Set& set, const TrialConfig& cfg,
       // TrialResult::drainSec).
       my.cycles = rdtsc() - c0;
       // Settle outstanding updates so keysum stays exact.
-      flushBatches(rec, FlushCause::kDrain);
-      if (admission) {
-        // Everything still queued at stop is shed; the accounting identity
-        // offered == admitted(executed) + shed + rejected is then exact.
-        aq.shedRemaining();
-        my.offered = aq.offered();
-        my.shed = aq.shed();
-        my.rejected = aq.rejected();
-      } else {
-        my.offered = my.ops;  // closed loop / plain open loop: all executed
-      }
+      flush();
+      // Everything still queued at stop is shed; the accounting identity
+      // offered == admitted(executed) + shed + rejected is then exact.
+      aq.shedRemaining();
+      // Without admission every arrival executes: offered == ops.
+      my.offered = admission ? aq.offered() : my.ops;
+      my.shed = aq.shed();
+      my.rejected = aq.rejected();
       my.deadlineFlushes = flushPol.deadlineFlushes();
       my.fullFlushes = flushPol.fullFlushes();
     });
@@ -801,10 +734,10 @@ TrialResult runTrial(Set& set, const TrialConfig& cfg,
   for (const auto& s : stats) {
     r.totalOps += s.ops;
     r.opsApplied += s.opsApplied;
-    r.inserts += s.inserts;
-    r.deletes += s.deletes;
-    r.finds += s.finds;
-    r.rqs += s.rqs;
+    r.inserts += s.byCat[static_cast<int>(OpCat::kInsert)];
+    r.deletes += s.byCat[static_cast<int>(OpCat::kErase)];
+    r.finds += s.byCat[static_cast<int>(OpCat::kFind)];
+    r.rqs += s.byCat[static_cast<int>(OpCat::kRq)];
     r.rqKeys += s.rqKeys;
     r.minThreadOps = std::min(r.minThreadOps, s.ops);
     r.maxThreadOps = std::max(r.maxThreadOps, s.ops);
@@ -831,12 +764,8 @@ TrialResult runTrial(Set& set, const TrialConfig& cfg,
   r.cyclesPerOp = r.totalOps ? static_cast<double>(cycles) /
                                    static_cast<double>(r.totalOps)
                              : 0.0;
-  // Goodput: without a deadline every completed op is good (goodput ==
-  // throughput); with one, only ops that completed within it count.
-  const std::uint64_t good =
-      (cfg.arrival.open && cfg.arrival.deadlineNs > 0) ? goodOps : r.totalOps;
   r.goodputMops =
-      elapsed > 0.0 ? static_cast<double>(good) / elapsed / 1e6 : 0.0;
+      elapsed > 0.0 ? static_cast<double>(goodOps) / elapsed / 1e6 : 0.0;
   if (cfg.latency)
     r.lat = summarizeLatency(recs.data(), cfg.threads, nsPerTick);
   r.keysumOk = (set.keySum() == expected);
@@ -926,12 +855,11 @@ inline void jsonAppendTrial(const std::string& experiment,
   // ops_rejected can be checked row-by-row without schema knowledge.
   std::fprintf(
       f,
-      ",\"qdepth\":%d,\"deadline_ns\":%lld,\"flush_deadline_ns\":%lld,"
+      ",\"qdepth\":%d,\"deadline_ns\":%lld,"
       "\"ops_offered\":%llu,\"ops_admitted\":%llu,\"ops_shed\":%llu,"
       "\"ops_rejected\":%llu,\"goodput_mops\":%.4f,"
       "\"deadline_flushes\":%llu,\"full_flushes\":%llu,\"rq_retries\":%llu",
       cfg.arrival.qdepth, static_cast<long long>(cfg.arrival.deadlineNs),
-      static_cast<long long>(cfg.flushDeadlineNs),
       static_cast<unsigned long long>(r.opsOffered),
       static_cast<unsigned long long>(r.totalOps),
       static_cast<unsigned long long>(r.opsShed),

@@ -359,7 +359,7 @@ TEST(DriverAdmission, ColdWindowFlushesAtDeadline) {
     // past the 5ms flush deadline, so the first flush must be
     // deadline-triggered.
     cfg.arrival.ratePerSec = 100.0;
-    cfg.flushDeadlineNs = 5'000'000;  // 5 virtual ms
+    cfg.arrival.deadlineNs = 5'000'000;  // 5 virtual ms
     const std::uint64_t v0 = TtlClock::nowNs();
     r = runSmall(cfg);
     vSpan = TtlClock::nowNs() - v0;

@@ -311,7 +311,7 @@ TEST(DriverLatency, OpenLoopMeasuresQueueingDelay) {
   const TrialResult r = runSmall(cfg);
   ASSERT_TRUE(r.lat.valid);
   EXPECT_GT(r.lat.of(OpCat::kSched).count, 0u);
-  EXPECT_GT(r.lat.overall.count, 0u);
+  EXPECT_EQ(r.lat.overall.count, r.totalOps) << "every op completes once";
   // Throughput tracks the offered rate, not capacity: ~50k ops/sec over
   // ~50ms is ~2500 ops. The load-bearing bound is the upper one — an open
   // loop must land far below what the closed loop would do (hundreds of
@@ -340,6 +340,28 @@ TEST(DriverLatency, BatchedTrialSplitsSubmittedFromApplied) {
   // executing complete at their window's flush.
   EXPECT_EQ(r.lat.overall.count, r.totalOps);
   EXPECT_LE(r.mopsApplied, r.mops);
+}
+
+TEST(DriverLatency, TimedWindowCompletesEveryOpOnce) {
+  // Open loop with admission and a timed netting window: ops complete at
+  // once (reads) or at a flush (updates), by the deadline or a full window.
+  // Each must be recorded exactly once, and the accounting must still
+  // close.
+  TrialConfig cfg;
+  cfg.threads = 2;
+  cfg.latency = true;
+  cfg.latSampleShift = 0;
+  cfg.batch = 16;
+  cfg.arrival.open = true;
+  cfg.arrival.ratePerSec = 100000;
+  cfg.arrival.deadlineNs = 2'000'000;  // 2 ms: also the flush deadline
+  const TrialResult r = runSmall(cfg);
+  ASSERT_TRUE(r.lat.valid);
+  EXPECT_GT(r.totalOps, 0u);
+  EXPECT_EQ(r.lat.overall.count, r.totalOps);
+  EXPECT_EQ(r.opsOffered, r.totalOps + r.opsShed + r.opsRejected);
+  EXPECT_LE(r.goodputMops, r.mops);
+  EXPECT_GT(r.deadlineFlushes + r.fullFlushes, 0u);
 }
 
 TEST(DriverLatency, RecordingOffLeavesSummaryInvalid) {
