@@ -1,6 +1,5 @@
-// Batched & combined commits: how much does amortizing descriptor
-// publication across many logical ops buy, and which mechanism earns it?
-// Two cells, one per mechanism, so the JSON artifact attributes the win:
+// Batched commits: how much does amortizing descriptor publication across
+// many logical ops buy? Two cells:
 //
 //   wide-descriptor  PathCAS BST/AVL with driver-side update batching
 //                    (TrialConfig.batch ∈ PATHCAS_BENCH_BATCH, default
@@ -8,20 +7,18 @@
 //                    baseline; batch≥2 nets the window per key, then routes
 //                    the sorted run through updateBatch (one mixed
 //                    traversal, one wide KCAS per chunk, on both trees).
-//                    Rows: combine_window=0.
-//   combining        sharded frontends with per-shard flat combining
-//                    (Config::combineWindow 1 vs 32) under per-op
-//                    submissions (batch=1): the combiner merges concurrent
-//                    same-shard ops into one wide commit. Rows keyed by
-//                    combine_window × shards.
+//   sharded          sharded frontends under per-op submissions (batch=1):
+//                    every update commits directly on its shard's tree, the
+//                    per-op baseline of the service layer. Rows keyed by
+//                    shards.
 //
 // Default workload: zipfian:0.99 keys (the acceptance regime — hot runs
 // make batched traversal sharing matter), u100 mix (every op is an update;
 // reads don't exercise the commit path). PATHCAS_BENCH_DIST /
 // PATHCAS_BENCH_MIX override as usual; PATHCAS_BENCH_SHARDS scopes the
-// combining cell. The trailing summary prints, for the reader, each batch
-// width's and combine window's peak applied Mops as a ratio of its per-op
-// baseline; CI gates the JSON rows, not the summary.
+// sharded cell. The trailing summary prints, for the reader, each batch
+// width's peak applied Mops as a ratio of its per-op baseline; CI gates the
+// JSON rows, not the summary.
 #include <algorithm>
 #include <cstdio>
 #include <map>
@@ -36,18 +33,17 @@ using namespace pathcas::testing;
 
 namespace {
 
-/// batch_commit's CSV schema: identification (incl. batch width and combine
-/// window — the two axes under attribution) + throughput, both submitted
-/// and applied. Under window netting, submitted mops counts netted-away ops
-/// that never executed; the attribution ratios below use applied mops so a
-/// wider window cannot claim credit for work it skipped.
+/// batch_commit's CSV schema: identification (incl. shards and batch width)
+/// + throughput, both submitted and applied. Under window netting,
+/// submitted mops counts netted-away ops that never executed; the
+/// attribution ratios below use applied mops so a wider window cannot claim
+/// credit for work it skipped.
 void printBatchCsv(const std::string& experiment, const std::string& algo,
                    const TrialConfig& cfg, const TrialResult& r) {
-  std::printf("csv,%s,%s,%d,%d,%d,%d,%lld,%s,%s,%.3f,%.3f,%llu,%llu,%.1f\n",
+  std::printf("csv,%s,%s,%d,%d,%d,%lld,%s,%s,%.3f,%.3f,%llu,%llu,%.1f\n",
               experiment.c_str(), algo.c_str(), cfg.threads, cfg.shards,
-              cfg.batch, cfg.combineWindow,
-              static_cast<long long>(cfg.keyRange), cfg.dist.label().c_str(),
-              cfg.mix.c_str(), r.mops, r.mopsApplied,
+              cfg.batch, static_cast<long long>(cfg.keyRange),
+              cfg.dist.label().c_str(), cfg.mix.c_str(), r.mops, r.mopsApplied,
               static_cast<unsigned long long>(r.totalOps),
               static_cast<unsigned long long>(r.opsApplied), r.nsPerOp);
 }
@@ -75,29 +71,15 @@ void sweepBatch(const std::vector<int>& threads,
   }
 }
 
-/// Cell 2: combining attribution. Window 1 = direct per-op commits (the
-/// combiner path disabled); window 32 = flat combining. Applied Mops keyed
-/// by (shards, window).
+/// Cell 2: the sharded frontends' per-op commits, one sweep per shard count.
 template <typename Adapter>
-void sweepCombine(const std::vector<int>& threads, const TrialConfig& base,
-                  std::map<std::pair<int, int>, double>* peaks) {
+void sweepShards(const std::vector<int>& threads, const TrialConfig& base) {
   for (int nshards : defaultShards()) {
-    for (int window : {1, 32}) {
-      TrialConfig cfg = base;
-      cfg.shards = nshards;
-      cfg.combineWindow = window;
-      std::printf("%-22s  (shards %d, window %d)\n",
-                  (Adapter::name() + ":").c_str(), nshards, window);
-      double cellPeak = 0.0;
-      sweepThreads<Adapter>(
-          "batch_commit", threads, cfg,
-          [&cellPeak](const std::string& experiment, const std::string& algo,
-                      const TrialConfig& c, const TrialResult& r) {
-            printBatchCsv(experiment, algo, c, r);
-            cellPeak = std::max(cellPeak, r.mopsApplied);
-          });
-      (*peaks)[{nshards, window}] = cellPeak;
-    }
+    TrialConfig cfg = base;
+    cfg.shards = nshards;
+    std::printf("%-22s  (shards %d)\n", (Adapter::name() + ":").c_str(),
+                nshards);
+    sweepThreads<Adapter>("batch_commit", threads, cfg, printBatchCsv);
   }
 }
 
@@ -130,10 +112,9 @@ int main() {
   sweepBatch<PathCasBstAdapter<false>>(threads, batches, base, &bstPeaks);
   sweepBatch<PathCasAvlAdapter<false>>(threads, batches, base, &avlPeaks);
 
-  std::printf("-- combining: sharded frontends, per-op submissions --\n");
-  std::map<std::pair<int, int>, double> shBstPeaks, shAvlPeaks;
-  sweepCombine<ShardedBstAdapter<>>(threads, base, &shBstPeaks);
-  sweepCombine<ShardedAvlAdapter<>>(threads, base, &shAvlPeaks);
+  std::printf("-- sharded: sharded frontends, per-op submissions --\n");
+  sweepShards<ShardedBstAdapter<>>(threads, base);
+  sweepShards<ShardedAvlAdapter<>>(threads, base);
 
   // Attribution summary: ratios for the reader (file comment); no gate
   // reads them.
@@ -153,22 +134,6 @@ int main() {
       std::printf("wide-descriptor  %-18s batch %3d vs 1: %5.2fx "
                   "(%.3f vs %.3f Mops)\n",
                   row.name, b, mops / b1->second, mops, b1->second);
-    }
-  }
-  struct ShRow {
-    const char* name;
-    const std::map<std::pair<int, int>, double>* peaks;
-  } shRows[] = {{"sharded-bst", &shBstPeaks}, {"sharded-avl", &shAvlPeaks}};
-  for (const auto& row : shRows) {
-    for (const auto& [key, mops] : *row.peaks) {
-      const auto [nshards, window] = key;
-      if (window == 1) continue;
-      const auto direct = row.peaks->find({nshards, 1});
-      if (direct == row.peaks->end() || direct->second <= 0.0) continue;
-      std::printf("combining        %-18s shards %2d window %2d vs 1: %5.2fx "
-                  "(%.3f vs %.3f Mops)\n",
-                  row.name, nshards, window, mops / direct->second, mops,
-                  direct->second);
     }
   }
   return 0;

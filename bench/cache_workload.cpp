@@ -237,7 +237,7 @@ void jsonAppendCacheTrial(const TrialConfig& cfg, std::int64_t capacity,
   std::fprintf(
       f,
       "{\"experiment\":\"cache_workload\",\"algo\":\"%s\",\"threads\":%d,"
-      "\"shards\":%d,\"batch\":%d,\"combine_window\":%d,"
+      "\"shards\":%d,\"batch\":%d,"
       "\"key_range\":%lld,\"dist\":\"%s\",\"theta\":%g,\"mix\":\"%s\","
       "\"arrival\":\"%s\",\"update_pct\":%.1f,\"rq_pct\":0.0,\"rq_size\":0,"
       "\"capacity\":%lld,"
@@ -246,7 +246,7 @@ void jsonAppendCacheTrial(const TrialConfig& cfg, std::int64_t capacity,
       "\"fills\":%llu,\"evictions\":%llu,\"invalidations\":%llu,"
       "\"footprint_bytes\":%llu,\"elapsed_sec\":%.4f",
       ds::LruTtlCache<>::name(), cfg.threads, cfg.shards, cfg.batch,
-      cfg.combineWindow, static_cast<long long>(cfg.keyRange),
+      static_cast<long long>(cfg.keyRange),
       cfg.dist.label().c_str(), skewed ? cfg.dist.theta : 0.0,
       cfg.mix.c_str(), cfg.arrival.label().c_str(),
       static_cast<double>(100 - kLookupPct),

@@ -127,11 +127,6 @@ TrialResult runOverloadCell(const TrialConfig& cfg, double factor,
               r.lat.overall.p99Ns, static_cast<unsigned long long>(r.opsShed),
               static_cast<unsigned long long>(r.opsRejected));
   printCatRows(r);
-  if (!r.shardSchedP99Ns.empty()) {
-    std::printf("      shard sched p99 ns:");
-    for (double v : r.shardSchedP99Ns) std::printf(" %.0f", v);
-    std::printf("\n");
-  }
   printOverloadCsv(Adapter::name(), cfg, factor, capacityMops, r);
   jsonAppendTrial("overload_profile", Adapter::name(), cfg, r);
   recl::EbrDomain::instance().drainAll();
@@ -261,11 +256,8 @@ int main() {
   profileStructure<PathCasBstAdapter<false>>(base, batches);
   profileStructure<PathCasAvlAdapter<false>>(base, batches);
   {
-    // Sharded frontend with combining: per-shard combiner-queueing p99s
-    // (shard_sched_p99_ns) attribute the sched column under overload.
     TrialConfig sharded = base;
     sharded.shards = defaultShards().back();
-    sharded.combineWindow = 8;
     profileStructure<ShardedBstAdapter<>>(sharded, batches);
   }
   return 0;

@@ -9,9 +9,8 @@
 #
 # The gate (scripts/bench_compare.py --threshold-pct 15) joins rows on the
 # full workload identity — experiment, algo, threads, shards, batch,
-# combine_window, key_range, dist, mix, arrival, qdepth, deadline_ns,
-# update_pct, rq_pct, rq_size — so the baseline must come from these configs
-# verbatim; a drifted
+# key_range, dist, mix, arrival, qdepth, deadline_ns, update_pct, rq_pct,
+# rq_size — so the baseline must come from these configs verbatim; a drifted
 # config shows up as unmatched rows, not a bogus pass. Latency recording is
 # on (PATHCAS_BENCH_LATENCY=1) so the rows carry p50/p99/p999 columns and
 # the gate covers p99 latency alongside throughput.

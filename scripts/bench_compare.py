@@ -3,11 +3,12 @@
 
 Every bench driver appends one JSON object per trial when PATHCAS_BENCH_JSON
 is set (schema: docs/BENCHMARKING.md). This tool joins two such files on the
-trial identity — (experiment, algo, threads, shards, batch, combine_window,
-key_range, dist, mix, arrival, qdepth, deadline_ns, update_pct, rq_pct,
-rq_size); rows from files predating a field join on its default (shards=1,
-batch=1, combine_window=0, arrival="closed", qdepth=0, deadline_ns=0, i.e.
-closed-loop / no admission control) — combines duplicate rows (re-runs) by
+trial identity — (experiment, algo, threads, shards, batch, key_range,
+dist, mix, arrival, qdepth, deadline_ns, update_pct, rq_pct, rq_size);
+rows from files predating a field join on its default (shards=1, batch=1,
+arrival="closed", qdepth=0, deadline_ns=0, i.e. closed-loop / no admission
+control), and a combine_window column left in older files is not part of
+the identity (the sharded map no longer combines updates) — combines duplicate rows (re-runs) by
 their per-cell median, so one outlier run cannot move a cell, and reports
 three per-cell deltas:
 
@@ -54,7 +55,6 @@ KEY_FIELDS = (
     "threads",
     "shards",
     "batch",
-    "combine_window",
     "key_range",
     "dist",
     "mix",
@@ -71,7 +71,6 @@ KEY_FIELDS = (
 DEFAULT_FIELDS = {
     "shards": 1,
     "batch": 1,
-    "combine_window": 0,
     "arrival": "closed",
     "qdepth": 0,
     "deadline_ns": 0,
@@ -147,7 +146,7 @@ def fmt_key(key):
     # (poisson:<rate>:q<depth>:d<ns>), so the label stays compact.
     return (
         f"{d['experiment']}/{d['algo']} t={d['threads']} s={d['shards']} "
-        f"b={d['batch']} cw={d['combine_window']} "
+        f"b={d['batch']} "
         f"{d['dist']} {d['mix']} {d['arrival']} range={d['key_range']} "
         f"u={d['update_pct']}%"
     )

@@ -212,8 +212,8 @@ struct ShardedAdapterBase {
 
   ShardedAdapterBase() : map(NShards > 0 ? NShards : 1, kTestKeySpace) {}
   explicit ShardedAdapterBase(const bench::TrialConfig& cfg)
-      : map(cfg.shards > 0 ? cfg.shards : 1, cfg.keyRange > 0 ? cfg.keyRange : 1,
-            shardConfig(cfg)) {}
+      : map(cfg.shards > 0 ? cfg.shards : 1,
+            cfg.keyRange > 0 ? cfg.keyRange : 1) {}
 
   bool insert(Key k, Val v) { return map.insert(k, v); }
   bool erase(Key k) { return map.erase(k); }
@@ -234,18 +234,6 @@ struct ShardedAdapterBase {
   double avgKeyDepth() const { return 0.0; }  // per-shard depths, not pooled
   std::uint64_t footprintBytes() const { return map.footprintBytes(); }
   std::uint64_t rqRetries() const { return map.rqRetries(); }
-  std::vector<double> shardSchedP99Ns() const { return map.shardSchedP99Ns(); }
-
- private:
-  static typename service::ShardedMap<Tree>::Config shardConfig(
-      const bench::TrialConfig& cfg) {
-    typename service::ShardedMap<Tree>::Config c;
-    c.combineWindow = cfg.combineWindow;
-    // Latency trials pay for per-shard combiner-queueing histograms so the
-    // sched column can be attributed shard-by-shard.
-    c.combineStats = cfg.latency;
-    return c;
-  }
 };
 
 template <int NShards = 0>

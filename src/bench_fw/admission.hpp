@@ -91,12 +91,13 @@ class AdmissionQueue {
   std::uint64_t offered_ = 0, admitted_ = 0, shed_ = 0, rejected_ = 0;
 };
 
-/// Latency-aware adaptive batch-flush policy for the driver's netting window
-/// (and mirrored conceptually by the sharded map's combiner): track the
-/// oldest buffered op's age, demand a flush when it crosses the deadline,
-/// and adapt the window width — halve under deadline pressure (the offered
-/// rate can't fill the window in time, so stop waiting for it), double back
-/// toward the configured maximum when windows fill before their deadline.
+/// Latency-aware adaptive batch-flush policy for the driver's netting
+/// window: track the oldest buffered op's age from its scheduled arrival
+/// (the instant goodput judges it from), demand a flush early enough for
+/// that op to complete by the deadline, and adapt the window width — halve
+/// under deadline pressure (the offered rate can't fill the window in time,
+/// so stop waiting for it), double back toward the configured maximum when
+/// windows fill before their deadline.
 class AdaptiveFlushPolicy {
  public:
   AdaptiveFlushPolicy(std::size_t maxWindow, std::uint64_t deadlineNs)
@@ -107,15 +108,23 @@ class AdaptiveFlushPolicy {
 
   bool timed() const { return deadlineNs_ != 0; }
 
-  /// The first op of a (previously empty) window was buffered at `nowNs`.
-  void windowOpened(std::uint64_t nowNs) { oldestNs_ = nowNs; }
+  /// The first op of a (previously empty) window was scheduled to arrive
+  /// at `arrivalNs`.
+  void windowOpened(std::uint64_t arrivalNs) { oldestNs_ = arrivalNs; }
 
-  /// True when the oldest buffered op has aged past the flush deadline.
+  /// The last flush committed `ops` ops in `ns`.
+  void noteCommit(std::uint64_t ns, std::size_t ops) {
+    commitNsPerOp_ = (ns + ops - 1) / ops;
+  }
+
+  /// True when the window, holding `ops` ops, must flush at `nowNs` for its
+  /// oldest op to complete by the deadline: the op's age plus the commit
+  /// time the last flush's per-op cost predicts reaches the deadline.
   /// Meaningless (always false) when untimed or while the window is empty —
   /// the caller gates on a non-empty buffer.
-  bool deadlineExpired(std::uint64_t nowNs) const {
-    return deadlineNs_ != 0 && nowNs >= oldestNs_ &&
-           nowNs - oldestNs_ >= deadlineNs_;
+  bool flushDue(std::uint64_t nowNs, std::size_t ops) const {
+    return deadlineNs_ != 0 &&
+           nowNs + commitNsPerOp_ * ops >= oldestNs_ + deadlineNs_;
   }
 
   /// Current adaptive window width (ops buffered before a size-triggered
@@ -140,7 +149,7 @@ class AdaptiveFlushPolicy {
  private:
   std::size_t maxW_, curW_, minW_;
   std::uint64_t deadlineNs_;
-  std::uint64_t oldestNs_ = 0;
+  std::uint64_t oldestNs_ = 0, commitNsPerOp_ = 0;
   std::uint64_t deadlineFlushes_ = 0, fullFlushes_ = 0;
 };
 

@@ -74,9 +74,9 @@ struct TrialConfig {
   /// per-op commits — the k=1 fast-path baseline. Recorded in CSV/JSON;
   /// PATHCAS_BENCH_BATCH selects the sweep values (bench_helpers.hpp).
   int batch = 1;
-  /// Flat-combining window forwarded to sharded frontends
-  /// (service/sharded_map.hpp, Config::combineWindow) by adapters that are
-  /// TrialConfig-constructible; <= 1 means combining off. Recorded in JSON.
+  /// Ignored, like the sharded map's Config::combineWindow: sharded updates
+  /// commit directly (service/sharded_map.hpp). Stays only while
+  /// perfbench/pcbench.cpp still sets it.
   int combineWindow = 0;
   /// Per-op latency recording (bench_fw/latency.hpp): when on, sampled op
   /// durations land in a per-thread per-category tick histogram and the
@@ -102,7 +102,8 @@ struct TrialConfig {
   /// the bound) and a queue-wait deadline past which queued ops are shed
   /// before execution (bench_fw/admission.hpp). The deadline is also the
   /// batching window's flush deadline: a partially filled window is flushed
-  /// once its oldest buffered op is this old, and the window width adapts —
+  /// in time for its oldest buffered op, aged from its scheduled arrival, to
+  /// commit within the deadline, and the window width adapts —
   /// shrink under deadline pressure, regrow under headroom
   /// (AdaptiveFlushPolicy). Without a deadline, windows flush only when
   /// full or at the stop drain — the pre-adaptive behavior, where a cold
@@ -169,9 +170,6 @@ struct TrialResult {
   std::uint64_t deadlineFlushes = 0, fullFlushes = 0;
   /// Cross-shard range-query retries (HasRqRetries structures); 0 otherwise.
   std::uint64_t rqRetries = 0;
-  /// Per-shard combiner queueing p99 in ns (HasShardSched structures, with
-  /// latency recording on); empty otherwise. Index = shard id.
-  std::vector<double> shardSchedP99Ns;
 };
 
 /// Apply a named mix preset to a config (fracs + mix name + rqSize for
@@ -338,14 +336,6 @@ concept HasBatchOps =
 template <typename Set>
 concept HasRqRetries = requires(const Set s) {
   { s.rqRetries() } -> std::convertible_to<std::uint64_t>;
-};
-
-/// Structures exposing per-shard combiner-queueing p99s (ns): the driver
-/// lifts them into TrialResult::shardSchedP99Ns so combiner queueing is
-/// attributable shard-by-shard in the JSON output.
-template <typename Set>
-concept HasShardSched = requires(const Set s) {
-  { s.shardSchedP99Ns() } -> std::convertible_to<std::vector<double>>;
 };
 
 /// Benchmark scale, from PATHCAS_BENCH_SCALE ("quick" default, "full" for
@@ -526,10 +516,10 @@ TrialResult runTrial(Set& set, const TrialConfig& cfg,
       // updates are buffered into a window of cfg.batch ops and settled at
       // the flush. All ops in one window are concurrent (the submitter has
       // not observed any of their results yet), so the flush nets them by
-      // the same rule as the ShardedMap combiner (service/netting.hpp): one
-      // op per key, committed as one sorted updateBatch run, and a result
-      // for every op. The keysum follows those per-op results, so the
-      // trial's keysum check also checks the netting rule.
+      // the same-key rule (service/netting.hpp): one op per key, committed
+      // as one sorted updateBatch run, and a result for every op. The
+      // keysum follows those per-op results, so the trial's keysum check
+      // also checks the netting rule.
       // Reads stay immediate.
       const bool batching = HasBatchOps<Set> && cfg.batch > 1;
       const std::size_t batchW =
@@ -550,30 +540,35 @@ TrialResult runTrial(Set& set, const TrialConfig& cfg,
       // is measured as the serving latency it really is. The caller notes
       // the trigger (full or deadline) on flushPol first; the stop drain is
       // neither pressure nor headroom and notes nothing.
+      // A timed window also measures its commit's cost per op, from which
+      // the next deadline flush predicts its own and starts that early.
       const auto flush = [&] {
         if constexpr (HasBatchOps<Set>) {
           if (win.empty()) return;
+          const std::uint64_t startNs = flushTimed ? TtlClock::nowNs() : 0;
           my.opsApplied += service::commitNetted(
               set, win.data(), win.size(),
               service::NetRun<std::int64_t, std::int64_t>{
                   netKeys.data(), netVals.data(), netIns.get(), netOut.get()});
           const std::uint64_t endNs =
               rec != nullptr || deadlineNs != 0 ? TtlClock::nowNs() : 0;
+          if (flushTimed)
+            flushPol.noteCommit(since(endNs, startNs), win.size());
           for (const Op& op : win) complete(op, endNs);
           win.clear();
         }
       };
       // Buffer one update at nowNs (its admission instant; only a timed
-      // window, which needs an open loop, reads it): stamp the window-open
-      // instant for the flush deadline, then flush on width (adaptive) or,
-      // for a window whose oldest op just aged out, on the deadline.
+      // window, which needs an open loop, reads it): a new window ages from
+      // the op's scheduled arrival. Then flush on width (adaptive) or, when
+      // the oldest op would otherwise miss its deadline, on the deadline.
       const auto buffer = [&](const Op& op, std::uint64_t nowNs) {
-        if (flushTimed && win.empty()) flushPol.windowOpened(nowNs);
+        if (flushTimed && win.empty()) flushPol.windowOpened(op.arrivalNs);
         win.push_back(op);
         if (win.size() >= flushPol.window()) {
           flushPol.noteFull();
           flush();
-        } else if (flushTimed && flushPol.deadlineExpired(nowNs)) {
+        } else if (flushTimed && flushPol.flushDue(nowNs, win.size())) {
           flushPol.noteDeadline();
           flush();
         }
@@ -611,11 +606,12 @@ TrialResult runTrial(Set& set, const TrialConfig& cfg,
             return true;
           }
           // Idle until the next scheduled arrival. A timed partial window
-          // still flushes when its oldest op ages out — the cold-window
-          // hang fix: at 1 op/s a buffered update no longer waits for the
-          // window to fill (or the trial to end) to execute.
+          // still flushes in time for its oldest op's deadline — the
+          // cold-window hang fix: at 1 op/s a buffered update no longer
+          // waits for the window to fill (or the trial to end) to execute.
           if (stop.load(std::memory_order_relaxed)) return false;
-          if (flushTimed && !win.empty() && flushPol.deadlineExpired(*nowNs)) {
+          if (flushTimed && !win.empty() &&
+              flushPol.flushDue(*nowNs, win.size())) {
             flushPol.noteDeadline();
             flush();
           }
@@ -772,9 +768,6 @@ TrialResult runTrial(Set& set, const TrialConfig& cfg,
   PATHCAS_CHECK(r.keysumOk && "keysum validation failed — correctness bug");
   if constexpr (HasFootprint<Set>) r.footprintBytes = set.footprintBytes();
   if constexpr (HasRqRetries<Set>) r.rqRetries = set.rqRetries();
-  if constexpr (HasShardSched<Set>) {
-    if (cfg.latency) r.shardSchedP99Ns = set.shardSchedP99Ns();
-  }
   return r;
 }
 
@@ -825,7 +818,7 @@ inline void jsonAppendTrial(const std::string& experiment,
   std::fprintf(
       f,
       "{\"experiment\":\"%s\",\"algo\":\"%s\",\"threads\":%d,\"shards\":%d,"
-      "\"batch\":%d,\"combine_window\":%d,"
+      "\"batch\":%d,"
       "\"key_range\":%lld,\"dist\":\"%s\",\"theta\":%g,\"mix\":\"%s\","
       "\"arrival\":\"%s\",\"update_pct\":%.1f,\"rq_pct\":%.1f,"
       "\"rq_size\":%lld,\"mops\":%.4f,\"mops_applied\":%.4f,"
@@ -836,7 +829,7 @@ inline void jsonAppendTrial(const std::string& experiment,
       "\"ns_per_op\":%.1f,\"cycles_per_op\":%.1f,\"footprint_bytes\":%llu,"
       "\"elapsed_sec\":%.4f,\"drain_sec\":%.4f,\"keysum_ok\":%s",
       experiment.c_str(), algo.c_str(), cfg.threads, cfg.shards, cfg.batch,
-      cfg.combineWindow, static_cast<long long>(cfg.keyRange),
+      static_cast<long long>(cfg.keyRange),
       cfg.dist.label().c_str(), skewed ? cfg.dist.theta : 0.0,
       cfg.mix.c_str(), cfg.arrival.label().c_str(),
       (cfg.insertFrac + cfg.deleteFrac) * 100.0, cfg.rqFrac * 100.0,
@@ -867,12 +860,6 @@ inline void jsonAppendTrial(const std::string& experiment,
       static_cast<unsigned long long>(r.deadlineFlushes),
       static_cast<unsigned long long>(r.fullFlushes),
       static_cast<unsigned long long>(r.rqRetries));
-  if (!r.shardSchedP99Ns.empty()) {
-    std::fprintf(f, ",\"shard_sched_p99_ns\":[");
-    for (std::size_t i = 0; i < r.shardSchedP99Ns.size(); ++i)
-      std::fprintf(f, "%s%.1f", i == 0 ? "" : ",", r.shardSchedP99Ns[i]);
-    std::fprintf(f, "]");
-  }
   if (r.lat.valid) {
     // Overall op quantiles at the top level (what bench_compare.py gates),
     // the open-loop queueing-delay p99 beside them, and the per-category

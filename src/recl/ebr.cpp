@@ -28,9 +28,12 @@ EbrDomain::~EbrDomain() {
 
 void EbrDomain::doPin(ThreadSlot& slot) {
   const std::uint64_t e = globalEpoch_.load(std::memory_order_acquire);
-  // seq_cst so the announcement is globally visible before any data-structure
-  // load in this epoch (prevents a racing advancer from missing us).
-  slot.announce.store((e << 1) | 1, std::memory_order_seq_cst);
+  // The announcement must be globally visible before any data-structure
+  // load in this epoch, or a racing advancer could miss us. That is a
+  // store→load order, which only a full barrier gives: the seq_cst fence
+  // below is it. The store itself can then be relaxed — a seq_cst store
+  // would be a second full barrier (xchg on x86) for nothing.
+  slot.announce.store((e << 1) | 1, std::memory_order_relaxed);
   std::atomic_thread_fence(std::memory_order_seq_cst);
 
   if (slot.lastPinEpoch != e) {

@@ -46,22 +46,13 @@
 // examined nodes (paper footnote 2) — sharding multiplies the total window
 // capacity by N, another practical win of the partitioning.
 //
-// Flat combining (Config::combineWindow >= 2):
-// every update routes through its shard's combiner. A thread deposits its op
-// in a per-(shard, tid) publication slot and spins; whoever wins the shard's
-// combiner lock gathers up to combineWindow pending ops, nets them by the
-// same-key rule of service/netting.hpp (one op per key: an erase if the
-// key's ops include one, else an insert) and commits the net run with one
-// tree updateBatch. A combiner that finds only its own op falls back to a
-// direct per-op commit, so the low-contention cost is one uncontended
-// exchange. The combiner lock is the shard's mutation license: combined
-// windows, map-level batch ops, everything that writes the shard serializes
-// on it (reads stay direct — they are validated snapshots either way).
-// Linearization of a combined window: each key's ops linearize back to back
-// at the commit of its net op, inserts first (netting.hpp derives every
-// op's result from that order) — legal because every op in the window is
-// concurrent with the whole window: each depositor is still spinning in its
-// call until the combiner publishes its result.
+// Updates: insert and erase commit directly on the owning shard's tree,
+// lock-free, and linearize at their own KCAS, exactly as on the tree alone.
+// A map-level updateBatch hands each per-shard slice to the tree's group
+// commit, concurrently with point updates; each tree-level chunk linearizes
+// at its own wide KCAS. No update path takes a lock, so a descheduled thread
+// delays no other operation. Updates are not combined per shard:
+// docs/ARCHITECTURE.md, "Sharded updates", has the measurements.
 //
 // bulkLoad(sortedKeys, nthreads): parallel construction replacing the serial
 // prefill loop. Keys are pre-sorted; each shard's slice is found by binary
@@ -82,16 +73,13 @@
 #include <utility>
 #include <vector>
 
-#include "bench_fw/latency.hpp"
 #include "kcas/domain.hpp"
 #include "recl/domain_set.hpp"
-#include "service/netting.hpp"
 #include "service/topology.hpp"
 #include "util/backoff.hpp"
 #include "util/defs.hpp"
 #include "util/padding.hpp"
 #include "util/thread_registry.hpp"
-#include "util/timing.hpp"
 
 namespace pathcas::service {
 
@@ -110,36 +98,20 @@ class ShardedMap {
     /// (service/topology.hpp). Best-effort; a no-op on single-package
     /// machines or when affinity syscalls are unavailable.
     bool pinThreads = false;
-    /// Per-shard flat-combining window (header comment). <= 1 (default)
-    /// commits every update directly; >= 2 enables combining with at most
-    /// this many ops merged per window. Clamped to [0, kMaxCombine].
+    /// Ignored: every update commits directly (header comment, "Updates").
+    /// Both fields stay only while perfbench/pcbench.cpp still sets them.
     int combineWindow = 0;
-    /// Record per-shard combiner queueing (deposit → completion) into a
-    /// per-shard histogram, read back via shardSchedP99Ns(): combiner
-    /// queueing becomes attributable shard-by-shard instead of vanishing
-    /// into aggregate op latency. Off by default — a recorded op pays two
-    /// rdtsc reads. Only meaningful when combining.
     bool combineStats = false;
   };
-
-  /// Hard cap on ops merged into one combined window (bounds the combiner's
-  /// stack scratch; well above any useful window — a window is only worth
-  /// what fits in one wide KCAS).
-  static constexpr int kMaxCombine = 64;
 
   /// `nshards` >= 1 partitions of the key space [0, keySpace).
   ShardedMap(int nshards, K keySpace, Config config = {})
       : config_(config), nshards_(nshards), keySpace_(keySpace) {
     PATHCAS_CHECK(nshards >= 1);
     PATHCAS_CHECK(keySpace >= 1);
-    combineWindow_ = std::clamp(config_.combineWindow, 0, kMaxCombine);
     shards_.reserve(static_cast<std::size_t>(nshards));
-    for (int s = 0; s < nshards; ++s) {
+    for (int s = 0; s < nshards; ++s)
       shards_.push_back(std::make_unique<Shard>(config_.treeOptions));
-      if (combining())
-        shards_.back()->slots =
-            std::make_unique<Padded<OpSlot>[]>(kMaxThreads);
-    }
   }
 
   ShardedMap(const ShardedMap&) = delete;
@@ -180,14 +152,12 @@ class ShardedMap {
 
   bool insert(K key, V val) {
     Shard& sh = shard(key);
-    if (combining()) return combinedUpdate(sh, true, key, val);
     k::ScopedDomain scope(sh.set->kcas());
     return sh.tree->insert(key, val);
   }
 
   bool erase(K key) {
     Shard& sh = shard(key);
-    if (combining()) return combinedUpdate(sh, false, key, V{});
     k::ScopedDomain scope(sh.set->kcas());
     return sh.tree->erase(key);
   }
@@ -207,8 +177,7 @@ class ShardedMap {
   // ----------------------------------------------------------------------
   // Batched updates: a strictly-ascending key run is partitioned into
   // per-shard slices (shardOf is monotone in the key) and each slice drives
-  // the shard tree's group commit. When combining is on, the shard's
-  // combiner lock serializes these with combined windows.
+  // the shard tree's group commit, concurrently with point updates.
   // ----------------------------------------------------------------------
 
   /// Mixed update over a strictly-ascending key run: op i inserts
@@ -220,7 +189,6 @@ class ShardedMap {
     std::size_t applied = 0;
     forEachShardSlice(keys, n, [&](int s, std::size_t lo, std::size_t hi) {
       Shard& sh = *shards_[static_cast<std::size_t>(s)];
-      CombinerLockGuard lock(*this, sh);
       k::ScopedDomain scope(sh.set->kcas());
       applied += sh.tree->updateBatch(keys + lo, vals + lo, isInsert + lo,
                                       hi - lo, outcomes + lo);
@@ -431,24 +399,9 @@ class ShardedMap {
     return sh.tree->checkInvariants();
   }
 
-  /// Per-shard combiner-queueing p99 in calibrated nanoseconds, index =
-  /// shard id (quiescent; the histograms are written under the combiner
-  /// locks). Empty unless combining with Config::combineStats — the bench
-  /// driver's HasShardSched concept skips the JSON column on empty.
-  std::vector<double> shardSchedP99Ns() const {
-    std::vector<double> out;
-    if (!combining() || !config_.combineStats) return out;
-    out.reserve(static_cast<std::size_t>(nshards_));
-    const double nsPerTick = TscCal::nsPerTick();
-    for (const auto& sh : shards_)
-      out.push_back(sh->combineWait.quantile(0.99) * nsPerTick);
-    return out;
-  }
-
-  /// Number of combined ops recorded against shard s (quiescent).
-  std::uint64_t shardSchedCount(int s) const {
-    return shards_[static_cast<std::size_t>(s)]->combineWait.count();
-  }
+  /// Always empty: no update queues for a combiner any more (header
+  /// comment, "Updates"). Stays only while perfbench/pcbench.cpp reads it.
+  std::vector<double> shardSchedP99Ns() const { return {}; }
 
   /// Per-shard structural invariants PLUS the partition invariant: every
   /// key found in shard s must have shardOf(key) == s.
@@ -491,25 +444,6 @@ class ShardedMap {
   }
 
  private:
-  /// One thread's publication slot on one shard. Transitions: kEmpty ->
-  /// kPending (owner, release), kPending -> kDone (combiner, under the
-  /// combiner lock, release), kDone -> kEmpty (owner, after reading the
-  /// result). The combiner only reads fields of kPending slots and only
-  /// writes `result` before the kDone store, so slot fields need no atomics
-  /// of their own.
-  struct OpSlot {
-    enum : std::uint8_t { kEmpty = 0, kPending = 1, kDone = 2 };
-    std::atomic<std::uint8_t> state{kEmpty};
-    bool isInsert = true;
-    K key{};
-    V val{};
-    bool result = false;
-    /// rdtsc at deposit (written by the owner before the kPending store, so
-    /// the kPending acquire-load makes it visible to the combiner). Only
-    /// stamped when Config::combineStats is on.
-    std::uint64_t depositTicks = 0;
-  };
-
   struct Shard {
     explicit Shard(const Options& opts)
         : set(std::make_unique<recl::DomainSet>()) {
@@ -520,111 +454,7 @@ class ShardedMap {
     // Declared after `set` => destroyed first (returns its nodes to the
     // set's pools while they are alive).
     std::unique_ptr<Tree> tree;
-    /// Combining state; `slots` is allocated only when the map combines.
-    std::atomic<bool> combinerLock{false};
-    std::unique_ptr<Padded<OpSlot>[]> slots;
-    /// Deposit-to-completion ticks of every combined op served by this
-    /// shard (Config::combineStats). Written only under the combiner lock;
-    /// read quiescent via shardSchedP99Ns()/shardSchedCount().
-    bench::LatencyHistogram combineWait;
   };
-
-  /// Scoped hold of a shard's combiner lock — a no-op when combining is
-  /// off (direct commits need no mutation license).
-  struct CombinerLockGuard {
-    CombinerLockGuard(ShardedMap& m, Shard& sh)
-        : lock_(m.combining() ? &sh.combinerLock : nullptr) {
-      if (lock_ != nullptr) {
-        Backoff backoff;
-        while (lock_->exchange(true, std::memory_order_acquire))
-          backoff.pause();
-      }
-    }
-    ~CombinerLockGuard() {
-      if (lock_ != nullptr) lock_->store(false, std::memory_order_release);
-    }
-    CombinerLockGuard(const CombinerLockGuard&) = delete;
-    CombinerLockGuard& operator=(const CombinerLockGuard&) = delete;
-
-   private:
-    std::atomic<bool>* lock_;
-  };
-
-  bool combining() const { return combineWindow_ >= 2; }
-
-  /// Deposit-and-spin protocol (header comment). The depositor either finds
-  /// its result published, or wins the combiner lock and serves a window
-  /// (its own op included) itself.
-  bool combinedUpdate(Shard& sh, bool isInsert, K key, V val) {
-    const int tid = ThreadRegistry::tid();
-    OpSlot& my = *sh.slots[static_cast<std::size_t>(tid)];
-    my.isInsert = isInsert;
-    my.key = key;
-    my.val = val;
-    if (config_.combineStats) my.depositTicks = rdtsc();
-    my.state.store(OpSlot::kPending, std::memory_order_release);
-    Backoff backoff;
-    for (;;) {
-      if (my.state.load(std::memory_order_acquire) == OpSlot::kDone) {
-        const bool r = my.result;
-        my.state.store(OpSlot::kEmpty, std::memory_order_release);
-        return r;
-      }
-      if (!sh.combinerLock.exchange(true, std::memory_order_acquire)) {
-        combineShard(sh, &my);
-        sh.combinerLock.store(false, std::memory_order_release);
-      } else {
-        backoff.pause();
-      }
-    }
-  }
-
-  /// Gather up to combineWindow_ pending ops (the caller's first, so a
-  /// combiner always serves itself unless a previous window already did)
-  /// and commit them. Runs under the shard's combiner lock.
-  void combineShard(Shard& sh, OpSlot* mine) {
-    OpSlot* ops[kMaxCombine];
-    int n = 0;
-    if (mine->state.load(std::memory_order_acquire) == OpSlot::kPending)
-      ops[n++] = mine;
-    const int maxTid = ThreadRegistry::instance().maxTid();
-    for (int t = 0; t < maxTid && n < combineWindow_; ++t) {
-      OpSlot& slot = *sh.slots[static_cast<std::size_t>(t)];
-      if (&slot == mine) continue;
-      if (slot.state.load(std::memory_order_acquire) == OpSlot::kPending)
-        ops[n++] = &slot;
-    }
-    if (n == 0) return;
-    // Snapshot deposit stamps BEFORE committing: after an op's kDone store
-    // its owner may reset and reuse the slot, so slot fields are unsafe to
-    // read once results are published.
-    std::uint64_t deposits[kMaxCombine];
-    if (config_.combineStats)
-      for (int i = 0; i < n; ++i) deposits[i] = ops[i]->depositTicks;
-    k::ScopedDomain scope(sh.set->kcas());
-    if (n == 1) {
-      // Low contention: direct per-op commit (the k=1 fast path), no
-      // batching overhead beyond the lock exchange.
-      OpSlot& s = *ops[0];
-      s.result = s.isInsert ? sh.tree->insert(s.key, s.val)
-                            : sh.tree->erase(s.key);
-    } else {
-      K keys[kMaxCombine];
-      V vals[kMaxCombine];
-      bool isInsert[kMaxCombine];
-      bool outcomes[kMaxCombine];
-      commitNetted(*sh.tree, ops, static_cast<std::size_t>(n),
-                   NetRun<K, V>{keys, vals, isInsert, outcomes});
-    }
-    for (int i = 0; i < n; ++i)
-      ops[i]->state.store(OpSlot::kDone, std::memory_order_release);
-    if (config_.combineStats) {
-      // Still under the combiner lock, so the histogram needs no atomics.
-      const std::uint64_t now = rdtsc();
-      for (int i = 0; i < n; ++i)
-        sh.combineWait.record(now >= deposits[i] ? now - deposits[i] : 0);
-    }
-  }
 
   /// Call f(shard, lo, hi) for each maximal same-shard slice of an
   /// ascending key run (shardOf is monotone, so slices are contiguous).
@@ -677,7 +507,6 @@ class ShardedMap {
   Config config_;
   int nshards_;
   K keySpace_;
-  int combineWindow_ = 0;
   /// Cross-shard range-query whole-window retries (rqRetries()).
   std::atomic<std::uint64_t> rqRetries_{0};
   std::vector<std::unique_ptr<Shard>> shards_;

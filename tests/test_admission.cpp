@@ -4,11 +4,13 @@
 // (bench_fw/admission.hpp), deterministic replay of shed decisions on the
 // pinned virtual clock (util/timing.hpp, TtlClock), and the driver end to
 // end — the accounting identity offered == admitted + shed + rejected,
-// goodput, and the cold-window flush-deadline regression at ~1 op/s per
-// window (bench_fw/driver.hpp).
+// goodput, the cold-window flush-deadline regression at ~1 op/s per
+// window, and deadline flushes landing at their ops' deadline
+// (bench_fw/driver.hpp).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -237,15 +239,26 @@ TEST(AdaptiveFlushPolicy, ShrinksOnDeadlineGrowsOnFull) {
   EXPECT_EQ(p.fullFlushes(), 11u);
 }
 
-TEST(AdaptiveFlushPolicy, DeadlineExpiryTracksOldestOp) {
+TEST(AdaptiveFlushPolicy, FlushDueLeavesTimeForTheCommit) {
   AdaptiveFlushPolicy p(8, 100);
-  p.windowOpened(1000);
-  EXPECT_FALSE(p.deadlineExpired(1099));
-  EXPECT_TRUE(p.deadlineExpired(1100));  // aged exactly to the deadline
+  // The window ages from the oldest op's scheduled arrival, however late
+  // the op was admitted. Without a measured commit the flush is due when
+  // the op has aged the whole deadline.
+  p.windowOpened(/*arrivalNs=*/1000);
+  EXPECT_FALSE(p.flushDue(1099, 1));
+  EXPECT_TRUE(p.flushDue(1100, 1));  // aged exactly to the deadline
+  // A measured commit of 2 ops in 40 ns predicts 20 ns per buffered op, so
+  // the flush is due that much before the deadline.
+  p.noteCommit(40, 2);
+  p.windowOpened(2000);
+  EXPECT_FALSE(p.flushDue(2079, 1));
+  EXPECT_TRUE(p.flushDue(2080, 1));  // 2080 + 20 >= 2100
+  EXPECT_FALSE(p.flushDue(2039, 3));
+  EXPECT_TRUE(p.flushDue(2040, 3));  // three ops: 2040 + 60 >= 2100
   AdaptiveFlushPolicy untimed(8, 0);
   EXPECT_FALSE(untimed.timed());
   untimed.windowOpened(1000);
-  EXPECT_FALSE(untimed.deadlineExpired(1'000'000'000));
+  EXPECT_FALSE(untimed.flushDue(1'000'000'000, 1));
 }
 
 // ---------------------------------------------------------------------------
@@ -301,6 +314,76 @@ TEST(DriverAdmission, OverloadShedsAndKeepsIdentity) {
       << "admitted queue waits must not grow into the shed-off backlog";
   // Goodput counts only deadline-meeting completions.
   EXPECT_LE(r.goodputMops, r.mops + 1e-9);
+}
+
+/// The BST adapter, but every updateBatch takes kCommitNs of virtual time.
+struct TimedCommitBst : PathCasBstAdapter<false> {
+  static constexpr std::uint64_t kCommitNs = 300'000;
+  std::size_t updateBatch(const testing::Key* ks, const testing::Val* vs,
+                          const bool* isInsert,
+                          std::size_t n, bool* out) {
+    TtlClock::advance(kCommitNs);
+    return PathCasBstAdapter<false>::updateBatch(ks, vs, isInsert, n, out);
+  }
+};
+
+TEST(DriverAdmission, DeadlineFlushLandsAtTheDeadline) {
+  // Regression: a deadline flush aged its window from the oldest op's
+  // admission and fired only once the whole deadline had passed, so the
+  // flushed op completed a whole commit past its deadline, counted from its
+  // scheduled arrival, and never counted toward goodput. The window now
+  // ages from the scheduled arrival and flushes one predicted commit
+  // (0.3 virtual ms here) before the 1 ms deadline. The virtual clock moves
+  // in 0.1 ms steps and the flush fires at the first step past its due
+  // instant, so a flushed op lands within one step of its deadline: its
+  // latency reads 1.0-1.1 ms, against 1.3-1.4 ms under the old rule.
+  RealClockGuard rcg;
+  TrialConfig cfg;
+  cfg.threads = 1;
+  cfg.keyRange = 1 << 10;
+  cfg.durationMs = 300;
+  cfg.insertFrac = 0.5;  // every op is an update, buffered in the window
+  cfg.deleteFrac = 0.5;
+  cfg.batch = 64;
+  cfg.latency = true;
+  cfg.latSampleShift = 0;
+  cfg.arrival.open = true;
+  // Mean arrival gap 10 virtual ms, ten deadlines: nearly every window
+  // holds one op and flushes on its deadline.
+  cfg.arrival.ratePerSec = 100.0;
+  cfg.arrival.deadlineNs = 1'000'000;
+  // Between the deadline plus one step (1.1 ms, read up to 6.25% high by
+  // the histogram) and the old rule's deadline plus commit (1.3 ms, read up
+  // to 6.25% low).
+  constexpr double kBoundNs = 1.2e6;
+  // A worker descheduled while the clock runs on lands late: a loaded
+  // machine can make many ops late in one trial, so the test takes the best
+  // of three. The old rule fails all three.
+  const auto inTime = [](const TrialResult& t) {
+    return t.totalOps >= 10 && t.lat.valid && t.lat.overall.p50Ns < kBoundNs;
+  };
+  TrialResult r{};
+  for (int attempt = 0; attempt < 3 && !inTime(r); ++attempt) {
+    TtlClock::useVirtual(1'000'000'000);
+    // Virtual time moves in 0.1 ms steps, one per ~50 us of real time, and
+    // by kCommitNs inside each commit.
+    std::atomic<bool> advancing{true};
+    std::thread advancer([&advancing] {
+      while (advancing.load(std::memory_order_relaxed)) {
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+        TtlClock::advance(100'000);
+      }
+    });
+    r = runCell([] { return std::make_unique<TimedCommitBst>(); }, cfg);
+    advancing.store(false, std::memory_order_relaxed);
+    advancer.join();
+    TtlClock::useReal();
+  }
+  ASSERT_GE(r.totalOps, 10u) << "too few arrivals to judge";
+  ASSERT_TRUE(r.lat.valid);
+  EXPECT_GT(r.deadlineFlushes, r.fullFlushes);
+  EXPECT_LT(r.lat.overall.p50Ns, kBoundNs)
+      << r.deadlineFlushes << " deadline flushes, " << r.totalOps << " ops";
 }
 
 TEST(DriverAdmission, ColdWindowFlushesAtDeadline) {

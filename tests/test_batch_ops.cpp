@@ -6,8 +6,7 @@
 // the same-key netting rule (service/netting.hpp) against a sequential
 // replay, and windowed linearizability stress mixing batched submissions
 // with racing single-op commits — on the plain trees and on the sharded
-// frontend (including with the flat combiner enabled), so one suite covers
-// every layer a batch can commit through.
+// frontend, so one suite covers every layer a batch can commit through.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -341,10 +340,7 @@ struct NetModel {
   }
 };
 
-/// Net `window` from `initial` and check it against the replay, netting
-/// the ops in place (the driver's form) or through pointers (the
-/// combiner's).
-template <bool kViaPointers>
+/// Net `window` from `initial` and check it against the replay.
 void checkNetting(std::vector<NetTestOp> window, const Contents& initial) {
   NetModel target{initial};
   const std::size_t n = window.size();
@@ -353,17 +349,7 @@ void checkNetting(std::vector<NetTestOp> window, const Contents& initial) {
   auto outcomes = std::make_unique<bool[]>(n);
   const service::NetRun<std::int64_t, std::int64_t> run{
       keys.data(), vals.data(), isInsert.get(), outcomes.get()};
-  std::size_t m = 0;
-  if constexpr (kViaPointers) {
-    std::vector<NetTestOp*> ptrs;
-    for (NetTestOp& op : window) ptrs.push_back(&op);
-    m = service::commitNetted(target, ptrs.data(), n, run);
-    std::vector<NetTestOp> ordered;
-    for (const NetTestOp* op : ptrs) ordered.push_back(*op);
-    window = ordered;
-  } else {
-    m = service::commitNetted(target, window.data(), n, run);
-  }
+  const std::size_t m = service::commitNetted(target, window.data(), n, run);
   EXPECT_EQ(target.calls, 1);
   std::set<std::int64_t> distinct;
   for (const NetTestOp& op : window) distinct.insert(op.key);
@@ -398,8 +384,7 @@ TEST(BatchOps, NettingRuleEverySameKeySequence) {
         for (std::size_t i = 0; i < len; ++i)
           window.push_back({kKey, static_cast<std::int64_t>(10 + i),
                             ((mask >> i) & 1u) != 0, false});
-        checkNetting<false>(window, initial);
-        checkNetting<true>(window, initial);
+        checkNetting(window, initial);
       }
     }
   }
@@ -419,8 +404,7 @@ TEST(BatchOps, NettingRuleRandomWindows) {
                    static_cast<std::int64_t>(100 + i),
                    rng.nextBounded(2) != 0, false};
     SCOPED_TRACE("round " + std::to_string(round));
-    checkNetting<false>(window, initial);
-    checkNetting<true>(window, initial);
+    checkNetting(window, initial);
   }
 }
 
@@ -585,8 +569,9 @@ TEST(BatchOps, LinStressAvlTwoRunBatches) {
 }
 
 TEST(BatchOps, LinStressShardedBatches) {
-  // The map slices each run per shard into one tree-level updateBatch under
-  // the shard's combiner lock: uniform-kind rounds, then mixed rounds.
+  // The map slices each run per shard into one tree-level updateBatch,
+  // racing point ops on the same shards: uniform-kind rounds, then mixed
+  // rounds.
   for (int nshards : {1, 3}) {
     SCOPED_TRACE("shards=" + std::to_string(nshards));
     const std::uint64_t seed = 0x11B0 + static_cast<std::uint64_t>(nshards);
@@ -595,19 +580,6 @@ TEST(BatchOps, LinStressShardedBatches) {
     BstMap mixed(nshards, 16);
     runBatchLinStress<BatchKind::kMixed>(mixed, 250, 16, seed + 4);
   }
-}
-
-TEST(BatchOps, LinStressShardedCombining) {
-  // Batched submissions AND the flat combiner active on the same shards:
-  // batch slices take the combiner lock while point ops route through
-  // publication slots — the two commit paths must still compose into one
-  // linearizable history. Uniform-kind rounds, then mixed rounds.
-  BstMap::Config cfg;
-  cfg.combineWindow = 8;
-  BstMap uniform(2, 16, cfg);
-  runBatchLinStress<BatchKind::kUniform>(uniform, 250, 16, 0x11C0);
-  BstMap mixed(2, 16, cfg);
-  runBatchLinStress<BatchKind::kMixed>(mixed, 250, 16, 0x11C4);
 }
 
 }  // namespace
