@@ -171,6 +171,18 @@ bool mixSupported(const TrialConfig& cfg) {
   return true;
 }
 
+/// A fresh `Adapter` for one cell. Adapters constructible from the
+/// TrialConfig (the sharded frontends) get it, so cfg.shards / cfg.keyRange
+/// shape the instance; the rest default-construct.
+template <typename Adapter>
+std::unique_ptr<Adapter> makeAdapter(const TrialConfig& cfg) {
+  if constexpr (std::is_constructible_v<Adapter, const TrialConfig&>) {
+    return std::make_unique<Adapter>(cfg);
+  } else {
+    return std::make_unique<Adapter>();
+  }
+}
+
 /// Run `Adapter` across thread counts; prints a row and a CSV block line per
 /// cell. Returns Mops per thread count. The PATHCAS_BENCH_DIST /
 /// PATHCAS_BENCH_MIX environment overrides are applied to the base config
@@ -190,19 +202,8 @@ std::vector<double> sweepThreads(const std::string& experiment,
   for (int t : threads) {
     TrialConfig cfg = base;
     cfg.threads = t;
-    // Adapters constructible from the TrialConfig (the sharded frontends)
-    // get it, so cfg.shards / cfg.keyRange shape the instance; the rest
-    // default-construct as before.
-    const TrialResult r = runCell(
-        [&cfg] {
-          if constexpr (std::is_constructible_v<Adapter,
-                                                const TrialConfig&>) {
-            return std::make_unique<Adapter>(cfg);
-          } else {
-            return std::make_unique<Adapter>();
-          }
-        },
-        cfg);
+    const TrialResult r =
+        runCell([&cfg] { return makeAdapter<Adapter>(cfg); }, cfg);
     mops.push_back(r.mops);
     csv(experiment, Adapter::name(), cfg, r);
     jsonAppendTrial(experiment, Adapter::name(), cfg, r);

@@ -23,20 +23,6 @@ using namespace pathcas::testing;
 
 namespace {
 
-/// The key subset every build uses: prefillHalf's shuffled random half of
-/// [0, keyRange), same seed, so rows are comparable with trial prefills.
-std::vector<std::int64_t> halfKeys(std::int64_t keyRange,
-                                   std::uint64_t seed = 12345) {
-  std::vector<std::int64_t> keys(static_cast<std::size_t>(keyRange));
-  for (std::int64_t i = 0; i < keyRange; ++i)
-    keys[static_cast<std::size_t>(i)] = i;
-  Xoshiro256 rng(seed);
-  for (std::size_t i = keys.size(); i > 1; --i)
-    std::swap(keys[i - 1], keys[rng.nextBounded(i)]);
-  keys.resize(static_cast<std::size_t>(keyRange / 2));
-  return keys;
-}
-
 void printBulkCsv(const std::string& algo, const TrialConfig& cfg,
                   std::size_t nkeys, double seconds, double speedup) {
   std::printf("csv,bulk_load,%s,%d,%d,%zu,%.4f,%.3f,%.2f\n", algo.c_str(),
@@ -94,7 +80,9 @@ double buildCell(int nshards, int threads,
 
 int main() {
   const std::int64_t keyRange = scaledKeys(1 << 17, 1 << 21);
-  const auto shuffled = halfKeys(keyRange);
+  // The key subset every build uses: prefillHalf's shuffled random half,
+  // so rows are comparable with trial prefills.
+  const auto shuffled = prefillKeys(keyRange);
   auto sorted = shuffled;
   std::sort(sorted.begin(), sorted.end());
   std::int64_t expectSum = 0;

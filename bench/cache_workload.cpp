@@ -11,25 +11,27 @@
 // miss, a trickle of write-throughs and invalidations, 1-in-8 fills carrying
 // a short TTL so the expiry path stays in the racing mix.
 //
-// Per cell: throughput plus hit/miss/expired/eviction accounting, a
-// quiescent checkInvariants() (a bench run is also a correctness run), CSV
-// rows (`grep '^csv,cache_workload'`), and — under PATHCAS_BENCH_JSON —
-// one JSON object per trial carrying the standard identity + mops + latency
-// fields bench_compare.py gates on, extended with the cache counters.
+// The clients are driver.hpp's runTrial workers, driving CacheAsideClient
+// like any set (90% contains = lookup, 8% insert = write-through, 2% erase
+// = invalidation), so the cache gets the same serving loop, clock,
+// admission and keysum check as every other bench. Per cell: throughput
+// plus hit/miss/expired/eviction accounting, a quiescent checkInvariants()
+// (a bench run is also a correctness run), CSV rows
+// (`grep '^csv,cache_workload'`), and — under PATHCAS_BENCH_JSON — one
+// standard JSON object per trial carrying the cache counters as extra
+// fields.
 //
 // Default grid: dist ∈ {uniform, zipfian:0.60, zipfian:0.90, zipfian:0.99}
 // × capacity fraction ∈ {5%, 25%, 50%} × PATHCAS_BENCH_THREADS. Setting
 // PATHCAS_BENCH_DIST collapses the distribution axis to that one spec (the
-// CI smoke runs `zipfian:0.99`); PATHCAS_BENCH_LATENCY / _ARRIVAL / _SCALE /
-// _JSON behave as everywhere else, except that this loop has no admission
-// queue: an arrival spec's q/d suffixes are dropped with a warning, so the
-// `arrival` field names what ran. The operation mix is the cache-aside
-// loop itself (not a set mix), so PATHCAS_BENCH_MIX does not apply; the
-// `mix` identity column carries the capacity fraction ("cache-cf25").
+// CI smoke runs `zipfian:0.99`); PATHCAS_BENCH_LATENCY / _ARRIVAL (with its
+// q/d admission suffixes) / _SCALE / _JSON behave as everywhere else. The
+// operation mix is the cache-aside loop itself (not a set mix), so
+// PATHCAS_BENCH_MIX does not apply; the `mix` identity column carries the
+// capacity fraction ("cache-cf25").
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <thread>
+#include <string>
 #include <vector>
 
 #include "bench_helpers.hpp"
@@ -40,8 +42,6 @@ using namespace pathcas::bench;
 
 namespace {
 
-constexpr std::int64_t kLookupPct = 90;  // rest: 8% write-through, 2% inval
-constexpr std::int64_t kWritePct = 8;
 constexpr std::uint64_t kTtlNs = 5'000'000;  // 5ms; every 8th fill carries it
 
 struct CacheCounters {
@@ -55,220 +55,94 @@ struct CacheCounters {
   }
 };
 
-/// One timed trial of the cache-aside loop. Mirrors driver.hpp's runTrial
-/// (tsc pre-calibration, ready/go/stop handshake, sampled latency, optional
-/// open-loop arrivals) but drives the cache interface — get with fill on
-/// miss — instead of a set mix, and settles the hit/miss/evict accounting
-/// the set driver has no notion of.
-TrialResult runCacheTrial(const TrialConfig& cfg, std::int64_t capacity,
-                          CacheCounters* out) {
-  struct alignas(kNoFalseSharing) PerThread {
-    std::uint64_t ops = 0, cycles = 0;
-    CacheCounters c;
-  };
-  const double nsPerTick = TscCal::nsPerTick();  // calibrate pre-window
-  const double ticksPerNs = 1.0 / nsPerTick;
-  ds::LruTtlCache<> cache(static_cast<std::size_t>(capacity));
+/// A cache-aside client over the LRU/TTL cache, in the set interface
+/// runTrial drives: contains() is the lookup, which fills the key on a miss
+/// or on a collected expiry; insert() is the write-through put; erase() is
+/// the invalidation. Every 8th fill of a thread (lookup fill or
+/// write-through) carries the short TTL, so expiry collection happens inside
+/// the timed mix.
+///
+/// runTrial's keysum sees only insert()'s and erase()'s results. keySum()
+/// is therefore the resident keys' sum minus every change the client made
+/// behind those results — keys inserted by lookup fills, evicted victims and
+/// collected expiries — so runTrial's keysum check covers all of them.
+class CacheAsideClient {
+ public:
+  explicit CacheAsideClient(std::int64_t capacity)
+      : cache(static_cast<std::size_t>(capacity)) {}
 
-  // Warm prefill from the trial's own distribution, so the resident set is
-  // the hot set and the timed window starts at steady-state hit ratio.
-  SharedWorkloadState wstate(cfg.dist, cfg.keyRange);
-  {
-    KeyGen keys(cfg.dist, cfg.keyRange, &wstate, cfg.seed ^ 0xF111, 0, 1);
-    for (std::int64_t i = 0; i < capacity * 4 && cache.size() < capacity;
-         ++i) {
-      const std::int64_t k = keys.next();
-      cache.put(k, k * 2 + 1);
+  bool contains(std::int64_t k) {
+    Slot& s = slot();
+    switch (cache.get(k, nullptr)) {
+      case ds::CacheGet::kHit:
+        ++s.c.hits;
+        return true;
+      case ds::CacheGet::kMiss:
+        ++s.c.misses;
+        break;
+      case ds::CacheGet::kExpired:
+        ++s.c.expired;
+        s.unseenSum -= k;
+        break;
     }
+    if (fill(s, k, k).inserted) s.unseenSum += k;
+    return false;
   }
-  ThreadRegistry::instance().deregisterThread();
-
-  std::vector<PerThread> stats(static_cast<std::size_t>(cfg.threads));
-  std::vector<LatencyRecorder> recs(
-      cfg.latency ? static_cast<std::size_t>(cfg.threads) : 0);
-  std::atomic<bool> go{false}, stop{false};
-  std::atomic<int> ready{0};
-
-  std::vector<std::thread> workers;
-  for (int t = 0; t < cfg.threads; ++t) {
-    workers.emplace_back([&, t] {
-      ThreadGuard tg;
-      KeyGen keys(cfg.dist, cfg.keyRange, &wstate, cfg.seed, t, cfg.threads);
-      Xoshiro256 rng(cfg.seed * 1000003 + static_cast<std::uint64_t>(t));
-      PerThread& my = stats[static_cast<std::size_t>(t)];
-      LatencyRecorder* rec =
-          cfg.latency ? &recs[static_cast<std::size_t>(t)] : nullptr;
-      const bool openLoop = cfg.arrival.open;
-      ArrivalGen arrivals(
-          openLoop ? cfg.arrival.ratePerSec / cfg.threads : 1.0, cfg.seed, t);
-      const std::uint64_t sampleMask =
-          (1ULL << static_cast<unsigned>(std::max(cfg.latSampleShift, 0))) -
-          1;
-      std::uint64_t sampleCtr = 0;
-
-      // Every 8th fill carries the short TTL (per-thread stride: cheap and
-      // deterministic), so expiry collection happens inside the timed mix.
-      std::uint64_t fillCtr = 0;
-      auto fill = [&](std::int64_t k) {
-        const std::uint64_t ttl = (fillCtr++ & 7) == 0 ? kTtlNs : 0;
-        const auto r = cache.put(k, k * 2 + 1, ttl);
-        ++my.c.fills;
-        if (r.evicted) ++my.c.evictions;
-        if (r.inserted) keys.noteInsert(k);
-      };
-
-      ready.fetch_add(1);
-      while (!go.load(std::memory_order_acquire)) cpuRelax();
-      const std::uint64_t c0 = rdtsc();
-      std::uint64_t nextArrival = c0;
-      while (!stop.load(std::memory_order_relaxed)) {
-        const std::int64_t k = keys.next();
-        const std::uint64_t dice = rng.nextBounded(100);
-        const bool sampled =
-            rec != nullptr && (sampleCtr++ & sampleMask) == 0;
-        std::uint64_t opStart = 0;
-        if (openLoop) {
-          nextArrival += static_cast<std::uint64_t>(arrivals.nextGapNs() *
-                                                    ticksPerNs);
-          std::uint64_t now = rdtsc();
-          while (now < nextArrival &&
-                 !stop.load(std::memory_order_relaxed)) {
-            cpuRelax();
-            now = rdtsc();
-          }
-          if (now < nextArrival) break;  // stopped while idle pre-arrival
-          if (sampled) {
-            rec->record(OpCat::kSched, now - nextArrival);
-            opStart = nextArrival;
-          }
-        } else if (sampled) {
-          opStart = rdtsc();
-        }
-        OpCat cat = OpCat::kFind;
-        if (dice < kLookupPct) {
-          // Cache-aside lookup: the fill on a miss is part of the same
-          // logical op (and of its measured latency — that IS the cost a
-          // missing client pays).
-          std::int64_t v = 0;
-          switch (cache.get(k, &v)) {
-            case ds::CacheGet::kHit:
-              ++my.c.hits;
-              break;
-            case ds::CacheGet::kMiss:
-              ++my.c.misses;
-              fill(k);
-              break;
-            case ds::CacheGet::kExpired:
-              ++my.c.expired;
-              fill(k);
-              break;
-          }
-        } else if (dice < kLookupPct + kWritePct) {
-          cat = OpCat::kInsert;  // write-through update
-          fill(k);
-        } else {
-          cat = OpCat::kErase;  // invalidation
-          if (cache.erase(k)) ++my.c.invals;
-        }
-        ++my.ops;
-        if (sampled) rec->record(cat, rdtsc() - opStart);
-      }
-      my.cycles = rdtsc() - c0;
-    });
+  bool insert(std::int64_t k, std::int64_t v) {
+    return fill(slot(), k, v).inserted;
   }
-  while (ready.load() != cfg.threads) std::this_thread::yield();
-  StopWatch sw;
-  go.store(true, std::memory_order_release);
-  std::this_thread::sleep_for(std::chrono::milliseconds(cfg.durationMs));
-  stop.store(true, std::memory_order_release);
-  const double elapsed = sw.elapsedSeconds();
-  for (auto& w : workers) w.join();
-
-  TrialResult r;
-  std::uint64_t cycles = 0;
-  r.minThreadOps = stats.empty() ? 0 : stats.front().ops;
-  for (const auto& s : stats) {
-    r.totalOps += s.ops;
-    r.minThreadOps = std::min(r.minThreadOps, s.ops);
-    r.maxThreadOps = std::max(r.maxThreadOps, s.ops);
-    cycles += s.cycles;
-    out->hits += s.c.hits;
-    out->misses += s.c.misses;
-    out->expired += s.c.expired;
-    out->fills += s.c.fills;
-    out->evictions += s.c.evictions;
-    out->invals += s.c.invals;
+  bool erase(std::int64_t k) {
+    if (!cache.erase(k)) return false;
+    ++slot().c.invals;
+    return true;
   }
-  r.opsApplied = r.totalOps;
-  r.opsOffered = r.totalOps;  // closed loop: offered == executed
-  r.elapsedSec = elapsed;
-  r.mops = static_cast<double>(r.totalOps) / elapsed / 1e6;
-  r.mopsApplied = r.mops;
-  r.goodputMops = r.mops;
-  r.nsPerOp = r.totalOps ? TscCal::toNs(cycles) /
-                               static_cast<double>(r.totalOps)
-                         : 0.0;
-  r.cyclesPerOp = r.totalOps ? static_cast<double>(cycles) /
-                                   static_cast<double>(r.totalOps)
-                             : 0.0;
-  if (cfg.latency)
-    r.lat = summarizeLatency(recs.data(), cfg.threads, nsPerTick);
-  r.inserts = out->fills;
-  r.deletes = out->invals;
-  r.finds = out->hits + out->misses + out->expired;
-  // A bench run is also a correctness run: the workers have joined, so the
-  // composite invariants (hash set == list set, size honest, <= capacity)
-  // are checkable quiescently.
-  cache.checkInvariants();
-  r.keysumOk = true;
-  r.footprintBytes = cache.footprintBytes();
-  return r;
-}
 
-/// Cache JSON row: the standard trial identity + throughput/latency fields
-/// (exactly the names bench_compare.py joins and gates on) extended with
-/// the cache accounting. Extra fields are ignored by older tooling.
-void jsonAppendCacheTrial(const TrialConfig& cfg, std::int64_t capacity,
-                          const TrialResult& r, const CacheCounters& c) {
-  std::FILE* f = jsonSink();
-  if (f == nullptr) return;
-  const bool skewed = cfg.dist.kind == DistKind::kZipfian ||
-                      cfg.dist.kind == DistKind::kLatest;
-  std::fprintf(
-      f,
-      "{\"experiment\":\"cache_workload\",\"algo\":\"%s\",\"threads\":%d,"
-      "\"shards\":%d,\"batch\":%d,"
-      "\"key_range\":%lld,\"dist\":\"%s\",\"theta\":%g,\"mix\":\"%s\","
-      "\"arrival\":\"%s\",\"update_pct\":%.1f,\"rq_pct\":0.0,\"rq_size\":0,"
-      "\"capacity\":%lld,"
-      "\"mops\":%.4f,\"total_ops\":%llu,\"ns_per_op\":%.1f,"
-      "\"hit_pct\":%.2f,\"hits\":%llu,\"misses\":%llu,\"expired\":%llu,"
-      "\"fills\":%llu,\"evictions\":%llu,\"invalidations\":%llu,"
-      "\"footprint_bytes\":%llu,\"elapsed_sec\":%.4f",
-      ds::LruTtlCache<>::name(), cfg.threads, cfg.shards, cfg.batch,
-      static_cast<long long>(cfg.keyRange),
-      cfg.dist.label().c_str(), skewed ? cfg.dist.theta : 0.0,
-      cfg.mix.c_str(), cfg.arrival.label().c_str(),
-      static_cast<double>(100 - kLookupPct),
-      static_cast<long long>(capacity), r.mops,
-      static_cast<unsigned long long>(r.totalOps), r.nsPerOp, c.hitPct(),
-      static_cast<unsigned long long>(c.hits),
-      static_cast<unsigned long long>(c.misses),
-      static_cast<unsigned long long>(c.expired),
-      static_cast<unsigned long long>(c.fills),
-      static_cast<unsigned long long>(c.evictions),
-      static_cast<unsigned long long>(c.invals),
-      static_cast<unsigned long long>(r.footprintBytes), r.elapsedSec);
-  if (r.lat.valid) {
-    std::fprintf(f,
-                 ",\"p50_ns\":%.1f,\"p99_ns\":%.1f,\"p999_ns\":%.1f,"
-                 "\"sched_p99_ns\":%.1f",
-                 r.lat.overall.p50Ns, r.lat.overall.p99Ns,
-                 r.lat.overall.p999Ns, r.lat.of(OpCat::kSched).p99Ns);
+  /// Quiescent only.
+  std::int64_t keySum() const {
+    std::int64_t sum = 0;
+    for (const std::int64_t k : cache.recencyKeys()) sum += k;
+    for (const Padded<Slot>& s : slots_) sum -= s->unseenSum;
+    return sum;
   }
-  std::fprintf(f, "}\n");
-  std::fflush(f);
-}
+  /// Quiescent only: the counters summed over threads.
+  CacheCounters counters() const {
+    CacheCounters c;
+    for (const Padded<Slot>& s : slots_) {
+      c.hits += s->c.hits;
+      c.misses += s->c.misses;
+      c.expired += s->c.expired;
+      c.fills += s->c.fills;
+      c.evictions += s->c.evictions;
+      c.invals += s->c.invals;
+    }
+    return c;
+  }
+  std::uint64_t footprintBytes() const { return cache.footprintBytes(); }
+
+  ds::LruTtlCache<> cache;
+
+ private:
+  struct Slot {
+    CacheCounters c;
+    std::uint64_t fillCtr = 0;
+    std::int64_t unseenSum = 0;  // keysum changes runTrial cannot see
+  };
+  Slot& slot() {
+    return *slots_[ThreadRegistry::tid()];
+  }
+  ds::LruTtlCache<>::PutResult fill(Slot& s, std::int64_t k, std::int64_t v) {
+    const std::uint64_t ttl = (s.fillCtr++ & 7) == 0 ? kTtlNs : 0;
+    const auto r = cache.put(k, v, ttl);
+    ++s.c.fills;
+    if (r.evicted) {
+      ++s.c.evictions;
+      s.unseenSum -= r.victim;
+    }
+    return r;
+  }
+
+  Padded<Slot> slots_[kMaxThreads];
+};
 
 void runCell(const TrialConfig& base, int threads, int cfPct) {
   TrialConfig cfg = base;
@@ -276,8 +150,27 @@ void runCell(const TrialConfig& base, int threads, int cfPct) {
   cfg.mix = "cache-cf" + std::to_string(cfPct);
   const std::int64_t capacity =
       std::max<std::int64_t>(1, cfg.keyRange * cfPct / 100);
-  CacheCounters c;
-  const TrialResult r = runCacheTrial(cfg, capacity, &c);
+  CacheAsideClient client(capacity);
+  {
+    // Warm prefill from the trial's own distribution, so the resident set
+    // is the hot set and the timed window starts at steady-state hit ratio.
+    SharedWorkloadState wstate(cfg.dist, cfg.keyRange);
+    KeyGen keys(cfg.dist, cfg.keyRange, &wstate, cfg.seed ^ 0xF111, 0, 1);
+    for (std::int64_t i = 0;
+         i < capacity * 4 && client.cache.size() < capacity; ++i) {
+      const std::int64_t k = keys.next();
+      client.cache.put(k, k);
+    }
+  }
+  const TrialResult r = runTrial(client, cfg, client.keySum());
+  // The workers have joined, so the composite invariants (hash set == list
+  // set, size honest, <= capacity) are checkable quiescently, and every
+  // lookup was one find whose fill (if any) the fills count includes.
+  client.cache.checkInvariants();
+  const CacheCounters c = client.counters();
+  PATHCAS_CHECK(c.hits + c.misses + c.expired == r.finds &&
+                c.fills == c.misses + c.expired + r.inserts &&
+                "cache counters disagree with the trial's op counts");
   std::printf("  cf=%2d%% t=%-3d %8.3f Mops  hit %6.2f%%  "
               "(miss %llu, expired %llu, evict %llu)\n",
               cfPct, threads, r.mops, c.hitPct(),
@@ -306,7 +199,19 @@ void runCell(const TrialConfig& base, int threads, int cfPct) {
               r.lat.overall.p50Ns, r.lat.overall.p99Ns,
               static_cast<unsigned long long>(r.footprintBytes));
   std::fflush(stdout);
-  jsonAppendCacheTrial(cfg, capacity, r, c);
+  char extra[512];
+  std::snprintf(extra, sizeof extra,
+                "\"capacity\":%lld,\"hit_pct\":%.2f,\"hits\":%llu,"
+                "\"misses\":%llu,\"expired\":%llu,\"fills\":%llu,"
+                "\"evictions\":%llu,\"invalidations\":%llu",
+                static_cast<long long>(capacity), c.hitPct(),
+                static_cast<unsigned long long>(c.hits),
+                static_cast<unsigned long long>(c.misses),
+                static_cast<unsigned long long>(c.expired),
+                static_cast<unsigned long long>(c.fills),
+                static_cast<unsigned long long>(c.evictions),
+                static_cast<unsigned long long>(c.invals));
+  jsonAppendTrial("cache_workload", ds::LruTtlCache<>::name(), cfg, r, extra);
 }
 
 void runGrid(const std::vector<int>& threads, const TrialConfig& base) {
@@ -325,15 +230,12 @@ int main() {
   TrialConfig base;
   base.keyRange = scaledKeys(1 << 14, 1 << 18);
   base.durationMs = scaledDurationMs(80, 1000);
+  // The cache-aside mix: 90% lookups, 8% write-throughs, 2% invalidations.
+  base.insertFrac = 0.08;
+  base.deleteFrac = 0.02;
+  base.rqSize = 0;
   applyEnvLatency(base);
-  if (applyEnvArrival(base) &&
-      (base.arrival.qdepth > 0 || base.arrival.deadlineNs > 0)) {
-    std::fprintf(stderr,
-                 "cache_workload: no admission queue; ignoring the q/d "
-                 "suffixes of PATHCAS_BENCH_ARRIVAL\n");
-    base.arrival.qdepth = 0;
-    base.arrival.deadlineNs = 0;
-  }
+  applyEnvArrival(base);
 
   if (applyEnvDist(base)) {
     // Single-distribution mode (the CI smoke): just that spec's grid.

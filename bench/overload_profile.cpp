@@ -112,15 +112,8 @@ void printCatRows(const TrialResult& r) {
 template <typename Adapter>
 TrialResult runOverloadCell(const TrialConfig& cfg, double factor,
                             double capacityMops) {
-  const TrialResult r = runCell(
-      [&cfg] {
-        if constexpr (std::is_constructible_v<Adapter, const TrialConfig&>) {
-          return std::make_unique<Adapter>(cfg);
-        } else {
-          return std::make_unique<Adapter>();
-        }
-      },
-      cfg);
+  const TrialResult r =
+      runCell([&cfg] { return makeAdapter<Adapter>(cfg); }, cfg);
   std::printf("    %-28s %6.3f Mops  good %6.3f  p99 %10.0f ns  "
               "shed %llu  rej %llu\n",
               cfg.arrival.label().c_str(), r.mops, r.goodputMops,

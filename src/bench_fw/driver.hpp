@@ -358,13 +358,10 @@ inline int prefillThreads() {
   return static_cast<int>(std::clamp(hw, 1u, 8u));
 }
 
-/// Prefill with a random half of the key range (random insertion order so
-/// unbalanced trees get their expected logarithmic depth). Structures with a
-/// parallel bulkLoad get the same key subset loaded via sorted bulk build
-/// instead of the serial insert loop.
-template <typename Set>
-std::int64_t prefillHalf(Set& set, std::int64_t keyRange,
-                         std::uint64_t seed = 12345) {
+/// The prefill's key subset: a random half of [0, keyRange), in random
+/// order (a Fisher-Yates shuffle of the whole range, then its first half).
+inline std::vector<std::int64_t> prefillKeys(std::int64_t keyRange,
+                                             std::uint64_t seed = 12345) {
   std::vector<std::int64_t> keys(static_cast<std::size_t>(keyRange));
   for (std::int64_t i = 0; i < keyRange; ++i)
     keys[static_cast<std::size_t>(i)] = i;
@@ -373,6 +370,17 @@ std::int64_t prefillHalf(Set& set, std::int64_t keyRange,
     std::swap(keys[i - 1], keys[rng.nextBounded(i)]);
   }
   keys.resize(static_cast<std::size_t>(keyRange / 2));
+  return keys;
+}
+
+/// Prefill with prefillKeys' random half of the key range (random insertion
+/// order so unbalanced trees get their expected logarithmic depth).
+/// Structures with a parallel bulkLoad get the same key subset loaded via
+/// sorted bulk build instead of the serial insert loop.
+template <typename Set>
+std::int64_t prefillHalf(Set& set, std::int64_t keyRange,
+                         std::uint64_t seed = 12345) {
+  std::vector<std::int64_t> keys = prefillKeys(keyRange, seed);
   if constexpr (HasBulkLoad<Set>) {
     std::sort(keys.begin(), keys.end());
     return set.bulkLoad(keys, prefillThreads());
@@ -805,9 +813,12 @@ inline std::FILE* jsonSink() {
 /// bench emits the same schema — including `dist`, `theta` and `mix` even
 /// for the uniform default — so rows from different benches aggregate
 /// without per-experiment special cases (schema: docs/BENCHMARKING.md).
+/// `extraFields`, when given, is a comma-separated list of `"name":value`
+/// members appended after the standard ones (cache_workload's counters).
 inline void jsonAppendTrial(const std::string& experiment,
                             const std::string& algo, const TrialConfig& cfg,
-                            const TrialResult& r) {
+                            const TrialResult& r,
+                            const std::string& extraFields = {}) {
   std::FILE* f = jsonSink();
   if (f == nullptr) return;
   const double rqMops =
@@ -881,6 +892,7 @@ inline void jsonAppendTrial(const std::string& experiment,
     }
     std::fprintf(f, "}");
   }
+  if (!extraFields.empty()) std::fprintf(f, ",%s", extraFields.c_str());
   std::fprintf(f, "}\n");
   std::fflush(f);
 }

@@ -371,6 +371,10 @@ TEST(LruCacheConcurrent, ChurnKeepsCompositeInvariants) {
   const int threads = 8;
   constexpr int kOpsPerThread = 30'000;
   Cache c(kCap);
+  // Entries the calls reported adding minus those they reported removing:
+  // inserts, less evictions, kExpired collections, successful erases and
+  // purgeExpired counts.
+  std::atomic<std::int64_t> reportedNet{0};
   for (int round = 0; round < 3; ++round) {
     std::vector<std::thread> workers;
     for (int t = 0; t < threads; ++t) {
@@ -379,34 +383,41 @@ TEST(LruCacheConcurrent, ChurnKeepsCompositeInvariants) {
         Xoshiro256 rng(0xC0FFEEull * (round + 1) +
                        static_cast<std::uint64_t>(t));
         std::int64_t v = 0;
+        std::int64_t net = 0;
         for (int i = 0; i < kOpsPerThread; ++i) {
           const std::int64_t k =
               static_cast<std::int64_t>(rng.nextBounded(kKeys));
           const std::uint64_t dice = rng.nextBounded(100);
           if (dice < 35) {
             const std::uint64_t ttl = dice % 5 == 0 ? 1'000 : 0;  // 1µs TTLs
-            c.put(k, k * 2 + 1, ttl);
+            const auto r = c.put(k, k * 2 + 1, ttl);
+            net += (r.inserted ? 1 : 0) - (r.evicted ? 1 : 0);
           } else if (dice < 70) {
             const auto r = c.get(k, &v);
             if (r == CacheGet::kHit) {
               EXPECT_EQ(v, k * 2 + 1);  // torn-value detector
+            } else if (r == CacheGet::kExpired) {
+              --net;
             }
           } else if (dice < 90) {
-            c.erase(k);
+            if (c.erase(k)) --net;
           } else if (dice < 99) {
             std::int64_t pv = 0;
             if (c.peek(k, &pv) == CacheGet::kHit) {
               EXPECT_EQ(pv, k * 2 + 1);
             }
           } else {
-            c.purgeExpired(4);
+            net -= static_cast<std::int64_t>(c.purgeExpired(4));
           }
           EXPECT_LE(c.size(), c.capacity());
         }
+        reportedNet.fetch_add(net);
       });
     }
     for (auto& w : workers) w.join();
     c.checkInvariants();  // quiescent: hash set == list set, size honest
+    // ...and every call reported what it did to the entry count.
+    EXPECT_EQ(reportedNet.load(), c.size()) << "round " << round;
     c.drain();
   }
 }
