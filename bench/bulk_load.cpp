@@ -1,11 +1,13 @@
-// Bulk-load bench: parallel ShardedMap::bulkLoad vs the serial shuffled
-// insert loop it replaces (driver.hpp prefillHalf's legacy path), across
-// shard count × worker thread count. The build is the same random half of
-// the key range either way, so the resulting structures are identical
-// (validated by size + keysum) and the numbers isolate construction cost:
-// the serial path pays pointer-chasing inserts one at a time; bulkLoad
-// partitions the sorted keys by shard, feeds each shard median-first
-// (balanced), and spreads chunks over workers with per-shard affinity.
+// Bulk-load bench: parallel ShardedMap::bulkLoad vs a serial shuffled
+// insert loop on one thread, across shard count × worker thread count. The
+// build is the same random half of the key range either way (prefillKeys),
+// so the resulting structures hold the same keys (validated by size +
+// keysum) and the numbers isolate construction cost: the serial loop pays
+// pointer-chasing inserts one at a time; bulkLoad partitions the sorted
+// keys by shard, feeds each shard median-first (balanced), and spreads
+// chunks over workers with per-shard affinity. (prefillHalf itself inserts
+// the shuffled keys from prefillThreads() workers into sets without
+// bulkLoad; neither prefill path is serial.)
 //
 // Rows: human-readable + `grep '^csv,bulk_load'`
 //   csv,bulk_load,<algo>,<threads>,<shards>,<keys>,<seconds>,<mkeys_per_s>,<speedup_vs_serial>
@@ -96,8 +98,8 @@ int main() {
     TrialConfig id;
     id.shards = nshards;
     id.threads = 1;
-    // Serial baseline: the pre-PR prefill loop (shuffled one-at-a-time
-    // inserts on one thread) against the same shard count.
+    // Serial baseline: shuffled one-at-a-time inserts on one thread,
+    // against the same shard count.
     const double serialSec = buildCell<ShardedBstAdapter<>>(
         nshards, /*threads=*/0, shuffled, sorted, expectSum);
     std::printf("%-24s %8d %8d %10.4f %12.3f %9s\n", "sharded-bst-serial", 1,

@@ -310,8 +310,9 @@ concept HasFootprint = requires(const Set s) {
 };
 
 /// Structures that can be built in parallel from a sorted key vector
-/// (service/sharded_map.hpp). prefillHalf uses this instead of the serial
-/// insert loop; bulkLoad returns the inserted keysum, same contract.
+/// (service/sharded_map.hpp). prefillHalf hands them the prefill sorted
+/// instead of inserting it; bulkLoad returns the inserted keysum, same
+/// contract.
 template <typename Set>
 concept HasBulkLoad = requires(Set s, std::vector<std::int64_t> keys) {
   { s.bulkLoad(keys, int{}) } -> std::convertible_to<std::int64_t>;
@@ -351,7 +352,7 @@ inline std::int64_t scaledKeys(std::int64_t quick, std::int64_t full) {
   return fullScale() ? full : quick;
 }
 
-/// Worker count for parallel prefill (HasBulkLoad structures): the machine's
+/// Worker count for prefillHalf, bulk-loaded or not: the machine's
 /// concurrency, capped — prefill is bandwidth-bound well before 8 threads.
 inline int prefillThreads() {
   const unsigned hw = std::thread::hardware_concurrency();
@@ -373,22 +374,38 @@ inline std::vector<std::int64_t> prefillKeys(std::int64_t keyRange,
   return keys;
 }
 
-/// Prefill with prefillKeys' random half of the key range (random insertion
-/// order so unbalanced trees get their expected logarithmic depth).
-/// Structures with a parallel bulkLoad get the same key subset loaded via
-/// sorted bulk build instead of the serial insert loop.
+/// Prefill with prefillKeys' random half of the key range on
+/// prefillThreads() workers; returns the keysum inserted. Structures with a
+/// parallel bulkLoad get the subset sorted. Any other set gets it in its
+/// shuffled order, worker w inserting the keys at positions i = w (mod n),
+/// so an unbalanced tree still grows in random order and gets its expected
+/// logarithmic depth. The key set depends only on the seed; a tree's exact
+/// shape also depends on the workers' interleaving.
 template <typename Set>
 std::int64_t prefillHalf(Set& set, std::int64_t keyRange,
                          std::uint64_t seed = 12345) {
   std::vector<std::int64_t> keys = prefillKeys(keyRange, seed);
+  const int n = prefillThreads();
   if constexpr (HasBulkLoad<Set>) {
     std::sort(keys.begin(), keys.end());
-    return set.bulkLoad(keys, prefillThreads());
+    return set.bulkLoad(keys, n);
   } else {
-    std::int64_t keysum = 0;
-    for (const std::int64_t k : keys) {
-      if (set.insert(k, k)) keysum += k;
+    const auto stride = static_cast<std::size_t>(n);
+    std::vector<std::int64_t> sums(stride, 0);
+    std::vector<std::thread> workers;
+    for (std::size_t w = 0; w < stride; ++w) {
+      workers.emplace_back([&, w] {
+        ThreadGuard tg;
+        std::int64_t sum = 0;
+        for (std::size_t i = w; i < keys.size(); i += stride) {
+          if (set.insert(keys[i], keys[i])) sum += keys[i];
+        }
+        sums[w] = sum;
+      });
     }
+    for (auto& t : workers) t.join();
+    std::int64_t keysum = 0;
+    for (const std::int64_t sum : sums) keysum += sum;
     return keysum;
   }
 }
@@ -445,8 +462,9 @@ TrialResult runTrial(Set& set, const TrialConfig& cfg,
   // incremental zeta table makes repeat trials at the same key range free).
   SharedWorkloadState wstate(cfg.dist, cfg.keyRange);
 
-  // Release the registry slot the calling thread lazily acquired during
-  // prefill, so a kMaxThreads-wide sweep can register every worker. The
+  // Release any registry slot the calling thread holds (a structure access
+  // registers it lazily: a bench's own setup, or an earlier trial's keysum
+  // validation), so a kMaxThreads-wide sweep can register every worker. The
   // caller re-registers automatically on its next structure access (the
   // keysum validation below), after the workers have deregistered.
   ThreadRegistry::instance().deregisterThread();

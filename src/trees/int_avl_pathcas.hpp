@@ -266,8 +266,6 @@ class IntAvlPathCas
       if (isMarked(nV)) return;  // deleted: someone else owns the path up
       Node* p = n->parent;
       if (p == nullptr) return;
-      const Version pV = visit(p);
-      if (isMarked(pV)) continue;
       Node* const l = n->left;
       Node* const r = n->right;
       Version lV = 0, rV = 0;
@@ -276,6 +274,15 @@ class IntAvlPathCas
       if (isMarked(lV) || isMarked(rV)) continue;
       const std::int64_t balance = avlHeight(lV) - avlHeight(rV);
 
+      if (balance > -2 && balance < 2) {
+        const FixResult res = fixHeight(n, nV, l, lV, r, rV);
+        if (res == FixResult::kUnnecessary) return;  // the walk ends (Alg. 10)
+        if (res == FixResult::kSuccess) n = p;
+        continue;
+      }
+      // A rotation swings p's child pointer: only it needs p's version.
+      const Version pV = visit(p);
+      if (isMarked(pV)) continue;
       if (balance >= 2) {
         // Left-heavy: examine l's children to pick single vs double rotation.
         if (l == nullptr) continue;  // height raced; retry
@@ -301,7 +308,7 @@ class IntAvlPathCas
             n = p;
           }
         }
-      } else if (balance <= -2) {
+      } else {
         if (r == nullptr) continue;
         Node* const rl = r->left;
         Node* const rr = r->right;
@@ -325,24 +332,18 @@ class IntAvlPathCas
             n = p;
           }
         }
-      } else {
-        const FixResult res = fixHeight(n, nV, l, lV, r, rV);
-        if (res == FixResult::kFailure) continue;
-        if (res == FixResult::kSuccess) {
-          n = p;
-          continue;
-        }
-        return;  // kUnnecessary: no violation here; the walk ends (Alg. 10)
       }
     }
   }
 
-  /// Algorithm 8: set n's height to 1 + max(child heights), locking the
-  /// children's versions (add old==new) so the computed height is consistent.
+  /// Algorithm 8: set n's height to 1 + max(child heights), staging only
+  /// n's version. The children's heights live in their versions, which the
+  /// caller visited and the vex validates. n's child and parent words never
+  /// change without a bump of n's version, which the entry checks, so l, r
+  /// and the caller's p (all read after nV) are n's neighbours at the
+  /// commit. A one-child fix commits as one DCSS (k=1, p=1).
   FixResult fixHeight(Node* n, Version nV, Node* l, Version lV, Node* r,
                       Version rV) {
-    // l/r/versions were visited by the caller in this same PathCAS op.
-    if (!distinctNodes({n, l, r})) return FixResult::kFailure;
     const std::int64_t newHeight =
         1 + std::max(avlHeight(lV), avlHeight(rV));
     if (avlHeight(nV) == newHeight) {
@@ -352,8 +353,6 @@ class IntAvlPathCas
       }
       return FixResult::kFailure;
     }
-    if (l != nullptr) addVer(l->ver, lV, lV);
-    if (r != nullptr) addVer(r->ver, rV, rV);
     addVer(n->ver, nV, withAvlHeight(verBump(nV), newHeight));
     if (vex()) return FixResult::kSuccess;
     return FixResult::kFailure;

@@ -6,14 +6,23 @@
 // keys actually inserted, duplicates counted once) that the bench driver's
 // prefill validation depends on, and that the build lands balanced enough
 // for the plain BST (median-first insertion order).
+//
+// The bench driver's prefillHalf fills every other set from prefillThreads()
+// workers inserting the shuffled prefill keys concurrently; the PrefillHalf
+// tests check that contract: the returned keysum, the size, the exact key
+// set, and the trees' invariants (the AVL tree strictly balanced with no
+// convergence pass).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "bench_fw/adapters.hpp"
+#include "bench_fw/driver.hpp"
 #include "service/sharded_map.hpp"
 #include "trees/int_bst_pathcas.hpp"
 #include "util/rand.hpp"
@@ -151,6 +160,64 @@ TEST(BulkLoad, ParallelBuildStaysShallowPerShard) {
     EXPECT_LT(map.shardStats(s).avgKeyDepth, 22.0) << "shard " << s;
   }
   map.checkInvariants();
+}
+
+/// Ranges with no key, with fewer keys than workers, and a real prefill.
+constexpr std::int64_t kPrefillRanges[] = {0, 2, std::int64_t{1} << 16};
+
+/// Runs prefillHalf on `set` and checks its contract: the returned keysum
+/// and the set's own are the sum of prefillKeys(range, seed), and the size
+/// is range/2. Returns the prefill keys, sorted.
+template <typename Set>
+std::vector<Key> expectPrefillContract(Set& set, std::int64_t range,
+                                       std::uint64_t seed) {
+  std::vector<Key> keys = bench::prefillKeys(range, seed);
+  std::sort(keys.begin(), keys.end());
+  std::int64_t sum = 0;
+  for (const Key k : keys) sum += k;
+  EXPECT_EQ(bench::prefillHalf(set, range, seed), sum);
+  EXPECT_EQ(set.size(), static_cast<std::uint64_t>(range / 2));
+  EXPECT_EQ(set.keySum(), sum);
+  return keys;
+}
+
+template <typename Tree>
+std::vector<Key> inOrderKeys(const Tree& tree) {
+  std::vector<Key> seen;
+  tree.forEach([&seen](Key k, Val v) {
+    EXPECT_EQ(k, v);  // prefillHalf inserts (k, k)
+    seen.push_back(k);
+  });
+  return seen;
+}
+
+TEST(PrefillHalf, AvlTreeIsStrictlyBalancedWithoutConvergence) {
+  for (const std::int64_t range : kPrefillRanges) {
+    SCOPED_TRACE("range=" + std::to_string(range));
+    auto set = std::make_unique<PathCasAvlAdapter<false>>();
+    const std::vector<Key> keys = expectPrefillContract(*set, range, 0xA1);
+    EXPECT_EQ(inOrderKeys(set->tree), keys);
+    set->tree.checkInvariants(/*requireStrictBalance=*/true);
+  }
+}
+
+TEST(PrefillHalf, BstHoldsExactlyThePrefillKeys) {
+  for (const std::int64_t range : kPrefillRanges) {
+    SCOPED_TRACE("range=" + std::to_string(range));
+    auto set = std::make_unique<PathCasBstAdapter<false>>();
+    const std::vector<Key> keys = expectPrefillContract(*set, range, 0xB2);
+    EXPECT_EQ(inOrderKeys(set->tree), keys);
+    set->tree.checkInvariants();
+  }
+}
+
+TEST(PrefillHalf, NonPathCasSetHoldsThePrefillKeys) {
+  for (const std::int64_t range : kPrefillRanges) {
+    SCOPED_TRACE("range=" + std::to_string(range));
+    auto set = std::make_unique<EllenAdapter>();
+    const std::vector<Key> keys = expectPrefillContract(*set, range, 0xC3);
+    for (const Key k : keys) EXPECT_TRUE(set->contains(k)) << k;
+  }
 }
 
 }  // namespace
