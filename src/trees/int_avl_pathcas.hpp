@@ -1,29 +1,31 @@
 // Lock-free *internal relaxed AVL tree* built with PathCAS (§4.2 and
 // appendix D of the paper). The base is the internal BST of Algorithms 3-6;
-// nodes are augmented with parent pointers and logical heights, and every
-// successful update triggers Bougé-style relaxed rebalancing: fixHeight and
-// the four rotations (Algorithms 8-11 plus mirrors), applied while walking
-// parent pointers toward the root until a violation-free node is reached.
+// nodes are augmented with logical heights, and every successful update
+// triggers Bougé-style relaxed rebalancing: fixHeight and the four rotations
+// (Algorithms 8-11 plus mirrors), applied while walking toward the root
+// until a violation-free node is reached. Appendix D's nodes carry parent
+// pointers for that walk; these carry none, and the walk climbs the chain
+// of ancestors the update's own search recorded (rebalance below).
 //
 // That base is trees/internal_tree_core.hpp, shared with the BST: the reads,
-// scans, per-op insert and the batch engine (insertBatch, eraseBatch,
-// updateBatch). This header keeps the node type, erase(), rebalancing, and
-// the core's hooks (adopt: parent word and height; afterCommit: rebalance;
-// unlinksInPlace: leaves only).
+// scans, per-op insert and erase, and the batch engine (insertBatch,
+// eraseBatch, updateBatch). This header keeps the node type, rebalancing,
+// and the core's hooks (Chain: the ancestors; afterCommit: rebalance;
+// adopt: a prebuilt node's height).
 //
 // The height lives in the node's version word (bits 53-60, above the mark
 // bit and the 52-bit counter; avlHeight/withAvlHeight below). A height only
 // ever changes in a KCAS that also bumps that node's version, so fixHeight
 // and the rotations write it into the version entry they stage anyway, and
 // a visit() returns the node's height with its version, validated with it.
-// The node is 48 B, with the words a search reads (ver, key, left, right)
-// in its first 32 B.
+// The node is 40 B, the BST's size, with the words a search reads (ver,
+// key, left, right) in its first 32 B.
 //
 // Deviations from the paper's pseudocode (which contains typos) are
-// normalized to one rule: ANY node whose fields change in a vexec — including
-// pure parent-pointer retargeting — has its version incremented in the same
-// vexec. This is strictly safer (concurrent validations always observe
-// subtree movements) at the cost of a slightly wider KCAS.
+// normalized to one rule: ANY node whose fields change in a vexec has its
+// version incremented in the same vexec. A node that only moves (a
+// rotation's middle subtree) changes no field and keeps its version: its
+// old and new parents are bumped, and every path to it runs through one.
 #pragma once
 
 #include <algorithm>
@@ -66,7 +68,6 @@ struct IntAvlNode {
   casword<IntAvlNode*> left;
   casword<IntAvlNode*> right;
   casword<V> val;
-  casword<IntAvlNode*> parent;
 
   IntAvlNode(K k, V v) {
     ver.setInitial(withAvlHeight(0, 1));
@@ -75,7 +76,7 @@ struct IntAvlNode {
   }
 };
 
-static_assert(sizeof(IntAvlNode<std::int64_t, std::int64_t>) == 48);
+static_assert(sizeof(IntAvlNode<std::int64_t, std::int64_t>) == 40);
 static_assert(searchHotFirst<IntAvlNode<std::int64_t, std::int64_t>>());
 
 template <typename K = std::int64_t, typename V = std::int64_t>
@@ -90,106 +91,16 @@ class IntAvlPathCas
   using Core::kNegInf;
   using Core::kPosInf;
 
-  bool erase(K key) {
-    PATHCAS_DCHECK(key > kNegInf && key < kPosInf);
-    auto guard = ebr_.pin();
-    for (;;) {
-      start();
-      const SearchResult s = search(key);
-      if (!s.found) {
-        if (validate()) return false;
-        continue;
-      }
-      if (isMarked(s.currVer) || isMarked(s.parentVer)) continue;
-      Node* curr = s.curr;
-      Node* parent = s.parent;
-      Node* const currLeft = curr->left;
-      Node* const currRight = curr->right;
-
-      if (currLeft == nullptr && currRight == nullptr) {
-        auto& ptrToChange =
-            (curr == parent->left.load()) ? parent->left : parent->right;
-        add(ptrToChange, curr, static_cast<Node*>(nullptr));
-        addVer(parent->ver, s.parentVer, verBump(s.parentVer));
-        addVer(curr->ver, s.currVer, verMark(s.currVer));
-        if (execOrVex()) {
-          ebr_.retire(curr, pool_);
-          rebalance(parent);
-          return true;
-        }
-      } else if (currLeft == nullptr || currRight == nullptr) {
-        Node* childToKeep = (currLeft == nullptr) ? currRight : currLeft;
-        if (!distinctNodes({parent, curr, childToKeep})) continue;
-        const Version childVer = visit(childToKeep);
-        if (isMarked(childVer)) continue;
-        auto& ptrToChange =
-            (curr == parent->left.load()) ? parent->left : parent->right;
-        add(ptrToChange, curr, childToKeep);
-        add(childToKeep->parent, curr, parent);
-        addVer(childToKeep->ver, childVer, verBump(childVer));
-        addVer(parent->ver, s.parentVer, verBump(s.parentVer));
-        addVer(curr->ver, s.currVer, verMark(s.currVer));
-        if (execOrVex()) {
-          ebr_.retire(curr, pool_);
-          rebalance(parent);
-          return true;
-        }
-      } else {
-        const Successor su = getSuccessor(curr, s.currVer);
-        if (su.succ == nullptr || isMarked(su.succVer) ||
-            isMarked(su.succPVer)) {
-          continue;
-        }
-        Node* const succR = su.succ->right;
-        // succP may be curr itself (succ is curr's right child); every
-        // other pair must be distinct.
-        if (!distinctNodes({curr, su.succ, succR}) ||
-            !distinctNodes({su.succP, su.succ, succR})) {
-          continue;
-        }
-        Version succRVer = 0;
-        if (succR != nullptr) {
-          succRVer = visit(succR);
-          if (isMarked(succRVer)) continue;
-        }
-        auto& ptrToChange = (su.succP->right.load() == su.succ)
-                                ? su.succP->right
-                                : su.succP->left;
-        add(ptrToChange, su.succ, succR);
-        if (succR != nullptr) {
-          add(succR->parent, su.succ, su.succP);
-          addVer(succR->ver, succRVer, verBump(succRVer));
-        }
-        const V currVal = curr->val;
-        const V succVal = su.succ->val;
-        add(curr->val, currVal, succVal);
-        add(curr->key, key, su.succ->key.load());
-        addVer(su.succ->ver, su.succVer, verMark(su.succVer));
-        addVer(su.succP->ver, su.succPVer, verBump(su.succPVer));
-        if (su.succP != curr)
-          addVer(curr->ver, s.currVer, verBump(s.currVer));
-        if (vex()) {
-          ebr_.retire(su.succ, pool_);
-          rebalance(su.succP);
-          return true;
-        }
-      }
-    }
-  }
-
   // ------------------------------------------------------------------
   // Quiescent-state inspection.
   // ------------------------------------------------------------------
 
-  /// Checks BST order, sentinel structure, that no reachable node is
-  /// marked, parent-pointer consistency, and that logical heights are
-  /// self-consistent (height == 1 + max(child heights)) — the state Bougé's
-  /// rebalancing converges to. `requireStrictBalance` additionally asserts
-  /// every node's children differ in height by <= 1 (holds after quiescent
-  /// convergence).
+  /// Checks BST order, sentinel structure and that no reachable node is
+  /// marked. `requireStrictBalance` additionally asserts that every height
+  /// is 1 + max(child heights) and that children differ in height by <= 1:
+  /// the state Bougé's rebalancing converges to.
   TreeStats checkInvariants(bool requireStrictBalance = false) const {
-    return this->walkInvariants([requireStrictBalance](Node* n, Node* parent) {
-      PATHCAS_CHECK(n->parent.load() == parent);
+    return this->walkInvariants([requireStrictBalance](Node* n) {
       if (requireStrictBalance) {
         Node* const l = n->left.load();
         Node* const r = n->right.load();
@@ -213,32 +124,19 @@ class IntAvlPathCas
   static constexpr const char* name() { return "int-avl-pathcas"; }
 
  private:
-  using typename Core::SearchResult, typename Core::Successor;
-  using Core::ebr_, Core::execOrVex, Core::getSuccessor, Core::maxRoot_,
-      Core::minRoot_, Core::pool_, Core::search, Core::vex;
+  using Core::minRoot_, Core::search, Core::vex;
+  using Chain = AncestorChain<Node>;
 
   enum class FixResult { kSuccess, kFailure, kUnnecessary };
 
-  // Core hooks. adopt: a node built or allocated privately takes its parent
-  // word, and its height when it has children (a prebuilt subtree's nodes
-  // are adopted bottom-up, so the children's heights are final).
-  static void adopt(Node* n, Node* parent, Node* l, Node* r) {
-    n->parent.setInitial(parent);
-    if (l != nullptr || r != nullptr) {
-      n->ver.setInitial(withAvlHeight(
-          n->ver.load(), 1 + std::max(heightOf(l), heightOf(r))));
-    }
+  // Core hooks. A prebuilt batch subtree's nodes are adopted bottom-up, so
+  // the children's heights are final.
+  static void adopt(Node* n, Node* l, Node* r) {
+    n->ver.setInitial(withAvlHeight(
+        n->ver.load(), 1 + std::max(heightOf(l), heightOf(r))));
   }
-  void afterCommit(Node* n) { rebalance(n); }
-
-  // A batch chunk unlinks only leaves in place: a one-child splice
-  // retargets the kept child's parent word, which may already carry a
-  // staged version bump from the child's own subtree in the same chunk (an
-  // address staged twice is undefined), so one-child and two-child removals
-  // defer to per-op erase().
-  static bool unlinksInPlace(const Node* left, const Node* right) {
-    return left == nullptr && right == nullptr;
-  }
+  void afterCommit(Chain& chain) { rebalance(chain); }
+  static constexpr bool kRotates = true;
 
   static std::int64_t heightOf(Node* n) {
     return n == nullptr ? 0 : avlHeight(n->ver.load());
@@ -251,97 +149,125 @@ class IntAvlPathCas
   // rides in the version entry that bumps its node.
   // ------------------------------------------------------------------
 
-  /// Walk from n toward the root repairing violations (Algorithm 10). A
-  /// thread that created a violation owns it — and any violation its own
-  /// repairs create — until it reaches a violation-free or deleted node.
-  void rebalance(Node* n) {
+  /// Walk from chain.back() toward the root repairing violations (Algorithm
+  /// 10), climbing the ancestors in chain (minRoot first). A thread that
+  /// created a violation owns it — and any violation its own repairs
+  /// create — until it reaches a violation-free or deleted node.
+  ///
+  /// A node moves to another parent without a version bump (a rotation's
+  /// middle subtree, a one-child erase's kept child), so the chain can be
+  /// stale. Each step checks, under its own validation, that the node it
+  /// climbed from is still a child of the step's node; when it is not, or
+  /// the step's node was deleted, the walk searches again for that node and
+  /// climbs from its current parent. A rotation checks its parent from the
+  /// chain the same way.
+  void rebalance(Chain& chain) {
     // Bounded retries guard against pathological contention livelock; an
     // abandoned repair leaves a (correct) temporarily-unbalanced tree whose
     // violation the next updater through this region repairs.
     int attempts = 0;
-    while (n != nullptr && n != minRoot_ && n != maxRoot_) {
+    Node* from = nullptr;  // the node the walk climbed from, if any
+    for (;;) {
       if (++attempts > kMaxRebalanceAttempts) return;
+      Node* const n = chain.back();
       start();
       const Version nV = n->ver.load();
-      if (isMarked(nV)) return;  // deleted: someone else owns the path up
-      Node* p = n->parent;
-      if (p == nullptr) return;
       Node* const l = n->left;
       Node* const r = n->right;
+      if (from != nullptr && (isMarked(nV) || (from != l && from != r))) {
+        if (!relocate(from, chain, attempts)) return;
+        continue;
+      }
+      if (n == minRoot_) return;  // the top (from, if any, is the root)
+      if (isMarked(nV)) return;  // deleted: someone else owns the path up
       Version lV = 0, rV = 0;
       if (l != nullptr) lV = visit(l);
       if (r != nullptr) rV = visit(r);
       if (isMarked(lV) || isMarked(rV)) continue;
+#ifdef PATHCAS_TEST_HOOKS
+      if (Core::stallHook) Core::stallHook(Core::Stall::kWalkStep, n);
+#endif
       const std::int64_t balance = avlHeight(lV) - avlHeight(rV);
 
       if (balance > -2 && balance < 2) {
         const FixResult res = fixHeight(n, nV, l, lV, r, rV);
         if (res == FixResult::kUnnecessary) return;  // the walk ends (Alg. 10)
-        if (res == FixResult::kSuccess) n = p;
+        if (res == FixResult::kSuccess) {
+          from = n;
+          chain.pop();
+        }
         continue;
       }
       // A rotation swings p's child pointer: only it needs p's version.
+      Node* const p = chain[chain.size() - 2];
       const Version pV = visit(p);
-      if (isMarked(pV)) continue;
-      if (balance >= 2) {
-        // Left-heavy: examine l's children to pick single vs double rotation.
-        if (l == nullptr) continue;  // height raced; retry
-        Node* const ll = l->left;
-        Node* const lr = l->right;
-        Version llV = 0, lrV = 0;
-        if (ll != nullptr) llV = visit(ll);
-        if (lr != nullptr) lrV = visit(lr);
-        if (isMarked(llV) || isMarked(lrV)) continue;
-        const std::int64_t lBalance = avlHeight(llV) - avlHeight(lrV);
-        if (lBalance < 0) {
-          if (lr == nullptr) continue;
-          if (rotateLeftRight(p, pV, n, nV, l, lV, lr, lrV)) {
-            rebalance(n);
-            rebalance(l);
-            rebalance(lr);
-            n = p;
-          }
-        } else {
-          if (rotateRight(p, pV, n, nV, l, lV)) {
-            rebalance(n);
-            rebalance(l);
-            n = p;
-          }
-        }
-      } else {
-        if (r == nullptr) continue;
-        Node* const rl = r->left;
-        Node* const rr = r->right;
-        Version rlV = 0, rrV = 0;
-        if (rl != nullptr) rlV = visit(rl);
-        if (rr != nullptr) rrV = visit(rr);
-        if (isMarked(rlV) || isMarked(rrV)) continue;
-        const std::int64_t rBalance = avlHeight(rlV) - avlHeight(rrV);
-        if (rBalance > 0) {
-          if (rl == nullptr) continue;
-          if (rotateRightLeft(p, pV, n, nV, r, rV, rl, rlV)) {
-            rebalance(n);
-            rebalance(r);
-            rebalance(rl);
-            n = p;
-          }
-        } else {
-          if (rotateLeft(p, pV, n, nV, r, rV)) {
-            rebalance(n);
-            rebalance(r);
-            n = p;
-          }
-        }
+      if (isMarked(pV) || (p->left.load() != n && p->right.load() != n)) {
+        if (!relocate(n, chain, attempts)) return;
+        chain.push(n);
+        continue;
+      }
+      // The taller child c rises; its children's heights pick a single or
+      // a double rotation. `left` says c is n's left child (n left-heavy).
+      const bool left = balance >= 2;
+      Node* const c = left ? l : r;
+      if (c == nullptr) continue;  // height raced; retry
+      Node* const cl = c->left;
+      Node* const cr = c->right;
+      Version clV = 0, crV = 0;
+      if (cl != nullptr) clV = visit(cl);
+      if (cr != nullptr) crV = visit(cr);
+      if (isMarked(clV) || isMarked(crV)) continue;
+      Node* const inner = left ? cr : cl;  // c's child on n's side
+      const Version innerV = left ? crV : clV;
+      const Version outerV = left ? clV : crV;
+      if (avlHeight(innerV) > avlHeight(outerV)) {
+        if (inner == nullptr) continue;
+        if (rotateDouble(p, pV, n, nV, c, left ? lV : rV, inner, innerV, left))
+          from = afterRotation(chain, inner, {n, c});
+      } else if (rotateSingle(p, pV, n, nV, c, left ? lV : rV, left)) {
+        from = afterRotation(chain, c, {n});
       }
     }
   }
 
+  /// Refill chain with c's ancestors (minRoot first) from a new search for
+  /// c's current key. False if c was deleted, whose eraser then owns the
+  /// path up, or the walk's attempts ran out.
+  bool relocate(Node* c, Chain& chain, int& attempts) {
+    while (++attempts <= kMaxRebalanceAttempts) {
+      start();
+      if (isMarked(c->ver.load())) return false;
+      if (search(c->key.load(), chain).curr == c) return true;
+    }
+    return false;
+  }
+
+  /// A rotation put `top` in the place of chain.back(). Run the walks it
+  /// owes — from each node it rotated below top, then from top — each on
+  /// its own copy of the chain, and leave chain at top's parent, which the
+  /// caller's walk climbs to from top.
+  Node* afterRotation(Chain& chain, Node* top,
+                      std::initializer_list<Node*> below) {
+    chain.pop();
+    chain.push(top);
+    Chain own;
+    for (Node* b : below) {
+      own.assign(chain.begin(), chain.end());
+      own.push(b);
+      rebalance(own);
+    }
+    own.assign(chain.begin(), chain.end());
+    rebalance(own);
+    chain.pop();
+    return top;
+  }
+
   /// Algorithm 8: set n's height to 1 + max(child heights), staging only
   /// n's version. The children's heights live in their versions, which the
-  /// caller visited and the vex validates. n's child and parent words never
-  /// change without a bump of n's version, which the entry checks, so l, r
-  /// and the caller's p (all read after nV) are n's neighbours at the
-  /// commit. A one-child fix commits as one DCSS (k=1, p=1).
+  /// caller visited and the vex validates. n's child words never change
+  /// without a bump of n's version, which the entry checks, so l and r (read
+  /// after nV) are n's children at the commit. A one-child fix commits as
+  /// one DCSS (k=1, p=1).
   FixResult fixHeight(Node* n, Version nV, Node* l, Version lV, Node* r,
                       Version rV) {
     const std::int64_t newHeight =
@@ -362,8 +288,8 @@ class IntAvlPathCas
   /// are not one snapshot, so a torn read can name one node in two roles of
   /// an update. Staging that node's words twice would leave the second old
   /// value unchecked — phase 1 and validation both accept the op's own
-  /// lock — so every multi-node update checks this before staging anything
-  /// and retries if it fails.
+  /// lock — so every rotation checks the nodes it stages before staging
+  /// anything and retries if they repeat.
   static bool distinctNodes(std::initializer_list<const Node*> nodes) {
     for (auto a = nodes.begin(); a != nodes.end(); ++a)
       for (auto b = a + 1; b != nodes.end(); ++b)
@@ -371,7 +297,8 @@ class IntAvlPathCas
     return true;
   }
 
-  /// Attach l in n's place under p. Returns false if n is not p's child.
+  /// Attach replacement in n's place under p. Returns false if n is not
+  /// p's child.
   bool addParentSwing(Node* p, Node* n, Node* replacement) {
     if (p->right.load() == n) {
       add(p->right, n, replacement);
@@ -390,71 +317,44 @@ class IntAvlPathCas
     return isMarked(v) ? -1 : avlHeight(v);
   }
 
-  /// visitHeight, and if c is a live node, also stage its move from parent
-  /// `from` to parent `to` (parent word and version bump).
-  static std::int64_t visitMove(Node* c, Node* from, Node* to) {
-    if (c == nullptr) return 0;
-    const Version v = visit(c);
-    if (isMarked(v)) return -1;
-    add(c->parent, from, to);
-    addVer(c->ver, v, verBump(v));
-    return avlHeight(v);
+  /// n's child slot on side `left` (its left slot if true).
+  static casword<Node*>& side(Node* n, bool left) {
+    return left ? n->left : n->right;
   }
 
-  /// Algorithm 11 (and its mirror): single rotation.
+  /// Algorithm 11 (and its mirror): single rotation, drawn for left = true
+  /// (c = l; the mirror swaps every left and right). lr only moves, so it
+  /// is visited, not staged.
   ///        p                p
   ///        n       =>       l
   ///       / \              / \ .
   ///      l   r            ll  n
   ///     / \                  / \ .
   ///    ll  lr               lr  r
-  bool rotateRight(Node* p, Version pV, Node* n, Version nV, Node* l,
-                   Version lV) {
-    Node* const lr = l->right;
-    if (!distinctNodes({p, n, l, lr})) return false;
-    if (!addParentSwing(p, n, l)) return false;
-    const std::int64_t lrH = visitMove(lr, l, n);
-    if (lrH < 0) return false;
-    const std::int64_t llH = visitHeight(l->left);
-    if (llH < 0) return false;
-    const std::int64_t rH = visitHeight(n->right);
-    if (rH < 0) return false;
-    const std::int64_t newNH = 1 + std::max(lrH, rH);
-    const std::int64_t newLH = 1 + std::max(llH, newNH);
-    add(l->parent, n, p);
-    add(n->left, l, lr);
-    add(l->right, lr, n);
-    add(n->parent, p, l);
+  bool rotateSingle(Node* p, Version pV, Node* n, Version nV, Node* c,
+                    Version cV, bool left) {
+    Node* const inner = side(c, !left);  // lr
+    if (!distinctNodes({p, n, c})) return false;
+    if (!addParentSwing(p, n, c)) return false;
+    const std::int64_t innerH = visitHeight(inner);
+    if (innerH < 0) return false;
+    const std::int64_t outerH = visitHeight(side(c, left));  // ll
+    if (outerH < 0) return false;
+    const std::int64_t otherH = visitHeight(side(n, !left));  // r
+    if (otherH < 0) return false;
+    const std::int64_t newNH = 1 + std::max(innerH, otherH);
+    const std::int64_t newCH = 1 + std::max(outerH, newNH);
+    add(side(n, left), c, inner);
+    add(side(c, !left), inner, n);
     addVer(p->ver, pV, verBump(pV));
     addVer(n->ver, nV, withAvlHeight(verBump(nV), newNH));
-    addVer(l->ver, lV, withAvlHeight(verBump(lV), newLH));
+    addVer(c->ver, cV, withAvlHeight(verBump(cV), newCH));
     return vex();
   }
 
-  bool rotateLeft(Node* p, Version pV, Node* n, Version nV, Node* r,
-                  Version rV) {
-    Node* const rl = r->left;
-    if (!distinctNodes({p, n, r, rl})) return false;
-    if (!addParentSwing(p, n, r)) return false;
-    const std::int64_t rlH = visitMove(rl, r, n);
-    if (rlH < 0) return false;
-    const std::int64_t rrH = visitHeight(r->right);
-    if (rrH < 0) return false;
-    const std::int64_t lH = visitHeight(n->left);
-    if (lH < 0) return false;
-    const std::int64_t newNH = 1 + std::max(rlH, lH);
-    const std::int64_t newRH = 1 + std::max(rrH, newNH);
-    add(r->parent, n, p);
-    add(n->right, r, rl);
-    add(r->left, rl, n);
-    add(n->parent, p, r);
-    addVer(p->ver, pV, verBump(pV));
-    addVer(n->ver, nV, withAvlHeight(verBump(nV), newNH));
-    addVer(r->ver, rV, withAvlHeight(verBump(rV), newRH));
-    return vex();
-  }
-
-  /// Algorithm 9 (and its mirror): double rotation, fused into one PathCAS.
+  /// Algorithm 9 (and its mirror): double rotation, fused into one PathCAS,
+  /// drawn for left = true (c = l, m = lr). lrl and lrr only move, so they
+  /// are visited, not staged.
   ///        p                 p
   ///        n                lr
   ///      /   \             /   \ .
@@ -463,65 +363,31 @@ class IntAvlPathCas
   ///   ll  lr            ll lrl lrr r
   ///      /  \ .
   ///    lrl  lrr
-  bool rotateLeftRight(Node* p, Version pV, Node* n, Version nV, Node* l,
-                       Version lV, Node* lr, Version lrV) {
-    Node* const lrl = lr->left;
-    Node* const lrr = lr->right;
-    if (!distinctNodes({p, n, l, lr, lrl, lrr})) return false;
-    if (!addParentSwing(p, n, lr)) return false;
-    const std::int64_t lrlH = visitMove(lrl, lr, l);
-    if (lrlH < 0) return false;
-    const std::int64_t lrrH = visitMove(lrr, lr, n);
-    if (lrrH < 0) return false;
-    const std::int64_t rH = visitHeight(n->right);
-    if (rH < 0) return false;
-    const std::int64_t llH = visitHeight(l->left);
-    if (llH < 0) return false;
-    const std::int64_t newNH = 1 + std::max(lrrH, rH);
-    const std::int64_t newLH = 1 + std::max(llH, lrlH);
-    const std::int64_t newLRH = 1 + std::max(newNH, newLH);
-    add(lr->parent, l, p);
-    add(lr->left, lrl, l);
-    add(l->parent, n, lr);
-    add(lr->right, lrr, n);
-    add(n->parent, p, lr);
-    add(l->right, lr, lrl);
-    add(n->left, l, lrr);
-    addVer(lr->ver, lrV, withAvlHeight(verBump(lrV), newLRH));
+  bool rotateDouble(Node* p, Version pV, Node* n, Version nV, Node* c,
+                    Version cV, Node* m, Version mV, bool left) {
+    Node* const mc = side(m, left);   // lrl, which moves under c
+    Node* const mn = side(m, !left);  // lrr, which moves under n
+    if (!distinctNodes({p, n, c, m})) return false;
+    if (!addParentSwing(p, n, m)) return false;
+    const std::int64_t mcH = visitHeight(mc);
+    if (mcH < 0) return false;
+    const std::int64_t mnH = visitHeight(mn);
+    if (mnH < 0) return false;
+    const std::int64_t otherH = visitHeight(side(n, !left));  // r
+    if (otherH < 0) return false;
+    const std::int64_t outerH = visitHeight(side(c, left));  // ll
+    if (outerH < 0) return false;
+    const std::int64_t newNH = 1 + std::max(mnH, otherH);
+    const std::int64_t newCH = 1 + std::max(outerH, mcH);
+    const std::int64_t newMH = 1 + std::max(newNH, newCH);
+    add(side(m, left), mc, c);
+    add(side(m, !left), mn, n);
+    add(side(c, !left), m, mc);
+    add(side(n, left), c, mn);
+    addVer(m->ver, mV, withAvlHeight(verBump(mV), newMH));
     addVer(p->ver, pV, verBump(pV));
     addVer(n->ver, nV, withAvlHeight(verBump(nV), newNH));
-    addVer(l->ver, lV, withAvlHeight(verBump(lV), newLH));
-    return vex();
-  }
-
-  bool rotateRightLeft(Node* p, Version pV, Node* n, Version nV, Node* r,
-                       Version rV, Node* rl, Version rlV) {
-    Node* const rlr = rl->right;
-    Node* const rll = rl->left;
-    if (!distinctNodes({p, n, r, rl, rlr, rll})) return false;
-    if (!addParentSwing(p, n, rl)) return false;
-    const std::int64_t rlrH = visitMove(rlr, rl, r);
-    if (rlrH < 0) return false;
-    const std::int64_t rllH = visitMove(rll, rl, n);
-    if (rllH < 0) return false;
-    const std::int64_t lH = visitHeight(n->left);
-    if (lH < 0) return false;
-    const std::int64_t rrH = visitHeight(r->right);
-    if (rrH < 0) return false;
-    const std::int64_t newNH = 1 + std::max(rllH, lH);
-    const std::int64_t newRH = 1 + std::max(rrH, rlrH);
-    const std::int64_t newRLH = 1 + std::max(newNH, newRH);
-    add(rl->parent, r, p);
-    add(rl->right, rlr, r);
-    add(r->parent, n, rl);
-    add(rl->left, rll, n);
-    add(n->parent, p, rl);
-    add(r->left, rl, rlr);
-    add(n->right, r, rll);
-    addVer(rl->ver, rlV, withAvlHeight(verBump(rlV), newRLH));
-    addVer(p->ver, pV, verBump(pV));
-    addVer(n->ver, nV, withAvlHeight(verBump(nV), newNH));
-    addVer(r->ver, rV, withAvlHeight(verBump(rV), newRH));
+    addVer(c->ver, cV, withAvlHeight(verBump(cV), newCH));
     return vex();
   }
 
@@ -535,7 +401,12 @@ class IntAvlPathCas
     const std::int64_t want = 1 + std::max(heightOf(l), heightOf(r));
     const std::int64_t bal = heightOf(l) - heightOf(r);
     if (heightOf(n) != want || bal >= 2 || bal <= -2) {
-      rebalance(n);
+      Chain chain;
+      int attempts = 0;
+      if (relocate(n, chain, attempts)) {
+        chain.push(n);
+        rebalance(chain);
+      }
       changed = true;
     }
   }

@@ -2,12 +2,12 @@
 // paper, Algorithms 3-6), including the §4.1 validation-reduction
 // optimizations (toggleable for the ablation benchmark).
 //
-// The reads, scans, per-op insert and the batch engine (insertBatch,
-// eraseBatch, updateBatch) live in trees/internal_tree_core.hpp (shared
-// with the AVL tree; it also describes the sentinels and linearizability).
-// This header keeps the node type, erase(), which matched nodes a batch
-// may unlink in place, the in-batch two-child swap and the composite
-// staging hooks; adopt and afterCommit are empty here.
+// The reads, scans, per-op insert and erase (Algorithms 4 and 6) and the
+// batch engine (insertBatch, eraseBatch, updateBatch) live in
+// trees/internal_tree_core.hpp (shared with the AVL tree; it also describes
+// the sentinels and linearizability). This header keeps the node type, the
+// in-batch two-child swap and the composite staging hooks; the core's hooks
+// record and do nothing here.
 #pragma once
 
 #include <cstdint>
@@ -49,69 +49,6 @@ class IntBstPathCas
   using Core::Core;
   using Core::kNegInf;
   using Core::kPosInf;
-
-  /// delete(key) (Algorithm 6). Returns false iff key was absent.
-  bool erase(K key) {
-    PATHCAS_DCHECK(key > kNegInf && key < kPosInf);
-    auto guard = ebr_.pin();
-    for (;;) {
-      start();
-      const SearchResult s = search(key);
-      if (!s.found) {
-        if (validate()) return false;
-        continue;
-      }
-      if (isMarked(s.currVer) || isMarked(s.parentVer)) continue;
-      Node* curr = s.curr;
-      Node* parent = s.parent;
-      Node* const currLeft = curr->left;
-      Node* const currRight = curr->right;
-
-      if (currLeft == nullptr || currRight == nullptr) {
-        // Leaf or one-child deletion: splice the child (null for a leaf)
-        // into curr's place, and mark curr.
-        Node* childToKeep = (currLeft == nullptr) ? currRight : currLeft;
-        auto& ptrToChange =
-            (curr == parent->left.load()) ? parent->left : parent->right;
-        add(ptrToChange, curr, childToKeep);
-        addVer(parent->ver, s.parentVer, verBump(s.parentVer));
-        addVer(curr->ver, s.currVer, verMark(s.currVer));
-        if (execOrVex()) {
-          ebr_.retire(curr, pool_);
-          return true;
-        }
-      } else {
-        // Two-child deletion: replace curr's key/value with its successor's,
-        // then unlink the successor (which has no left child).
-        const Successor su = getSuccessor(curr, s.currVer);
-        if (su.succ == nullptr || isMarked(su.succVer) ||
-            isMarked(su.succPVer)) {
-          continue;
-        }
-        Node* const succR = su.succ->right;
-        if (succR != nullptr) {
-          const Version succRVer = visit(succR);
-          if (isMarked(succRVer)) continue;
-        }
-        auto& ptrToChange = (su.succP->right.load() == su.succ)
-                                ? su.succP->right
-                                : su.succP->left;
-        add(ptrToChange, su.succ, succR);
-        const V currVal = curr->val;
-        const V succVal = su.succ->val;
-        add(curr->val, currVal, succVal);
-        add(curr->key, key, su.succ->key.load());
-        addVer(su.succ->ver, su.succVer, verMark(su.succVer));
-        addVer(su.succP->ver, su.succPVer, verBump(su.succPVer));
-        if (su.succP != curr)
-          addVer(curr->ver, s.currVer, verBump(s.currVer));
-        if (vex()) {
-          ebr_.retire(su.succ, pool_);
-          return true;
-        }
-      }
-    }
-  }
 
   // ------------------------------------------------------------------
   // Composite staging hooks (structs/multi_index_map.hpp). These stage one
@@ -179,7 +116,8 @@ class IntBstPathCas
       *victim = curr;
       return Staged::kStaged;
     }
-    const Successor su = getSuccessor(curr, s.currVer);
+    NoChain<Node> none;
+    const Successor su = getSuccessor(curr, s.currVer, none);
     if (su.succ == nullptr || isMarked(su.succVer) || isMarked(su.succPVer))
       return Staged::kRetry;
     Node* const succR = su.succ->right;
@@ -224,16 +162,14 @@ class IntBstPathCas
  private:
   using typename Core::BatchScratch, typename Core::SearchResult,
       typename Core::StageStatus, typename Core::Successor;
-  using Core::ebr_, Core::execOrVex, Core::getSuccessor, Core::pool_,
-      Core::search, Core::stageBudgetLeft, Core::vex;
+  using Core::ebr_, Core::getSuccessor, Core::pool_, Core::search,
+      Core::stageBudgetLeft;
 
-  // Core hooks. One batch chunk unlinks a leaf or one-child node in place:
-  // the splice touches only the node and its parent.
-  static void adopt(Node*, Node*, Node*, Node*) {}
-  void afterCommit(Node*) {}
-  static bool unlinksInPlace(const Node* left, const Node* right) {
-    return left == nullptr || right == nullptr;
-  }
+  // Core hooks: nothing to record or repair, and nodes never move down.
+  using Chain = NoChain<Node>;
+  void afterCommit(Chain&) {}
+  static void adopt(Node*, Node*, Node*) {}
+  static constexpr bool kRotates = false;
 
   /// Stage a two-child removal in-batch: the per-op successor swap (erase(),
   /// Algorithm 6), entry for entry. The core calls this from its singleton
@@ -279,7 +215,6 @@ class IntBstPathCas
     addVer(succP->ver, succPVer, verBump(succPVer));
     if (succP != node) addVer(node->ver, nodeVer, verBump(nodeVer));
     sc.unlink.push_back(succ);
-    sc.repair.push_back(succP);
     sc.staged.push_back(i);
     return StageStatus::kOk;
   }

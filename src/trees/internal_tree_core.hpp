@@ -1,25 +1,29 @@
 // The internal-BST core shared by the two PathCAS trees: the internal BST of
 // §4 (Algorithms 3-6) and the relaxed AVL tree of §4.2, which the paper
-// builds as that BST plus parent pointers, heights and rebalancing.
+// builds as that BST plus parent pointers, heights and rebalancing (this
+// AVL tree keeps no parent pointers; see Chain below).
 // IntBstPathCas and IntAvlPathCas derive from InternalTreeCore<Derived,
 // Node, K, V> (CRTP), so the trees differ only where their algorithms do.
 //
 // The core owns the sentinels, the EBR and pool members, the reads, the
-// range scans, per-op insert and the one batch engine behind insertBatch,
-// eraseBatch and updateBatch. Each tree keeps its node type, erase(), and
-// which matched nodes one batch chunk may unlink in place. The core calls
-// into a tree only through:
-//   static adopt(n, parent, l, r) — finish a still-private node about to be
-//       linked under `parent`, children l and r set (AVL: parent word and
-//       height; BST: nothing);
-//   afterCommit(n) — after a committed insert or batch changed n's child
-//       slots (AVL: rebalance(n); BST: nothing);
-//   static unlinksInPlace(l, r) — may a batch chunk unlink a matched node
-//       with children l and r in place (BST: a leaf or one-child node; AVL:
-//       a leaf only)? The other removals defer to the tree's erase() after
-//       the chunk commits, except a two-child match in a singleton
-//       partition, which goes to stageEraseTwoChild: the core's defers, the
-//       BST hides it with the in-batch successor swap.
+// range scans, per-op insert and erase, and the one batch engine behind
+// insertBatch, eraseBatch and updateBatch. Each tree keeps its node type.
+// A batch chunk unlinks a matched leaf or one-child node in place; the
+// other removals defer to erase() after the chunk commits, except a
+// two-child match in a singleton partition, which goes to
+// stageEraseTwoChild: the core's defers, the BST hides it with the in-batch
+// successor swap. The core calls into a tree only through:
+//   Chain — what an update records of its search for afterCommit: the
+//       nodes it stepped through, minRoot first (AVL: AncestorChain), or
+//       nothing (BST: NoChain, so its updates compile as unrecorded);
+//   afterCommit(chain) — after a committed update changed the child slots
+//       of chain's last node (AVL: the rebalancing walk, which climbs the
+//       chain; BST: nothing);
+//   static adopt(n, l, r) — finish a node of a prebuilt batch subtree whose
+//       children l and r are final (AVL: its height; BST: nothing);
+//   static kRotates — can nodes move between subtrees (AVL: true)? erase()
+//       then checks that a two-child victim is not its own successor, and
+//       the batch walk refuses a node it already touched (firstTouch).
 //
 // Structure: two sentinels — maxRoot (key +inf) whose left child is minRoot
 // (key -inf); all real keys live in minRoot's right subtree. Every node
@@ -78,6 +82,53 @@ constexpr bool searchHotFirst() {
          offsetof(Node, right) < kSearchHotBytes;
 }
 
+/// The Chain of a tree whose afterCommit climbs nothing (the BST): records
+/// nothing, so its updates compile as if they recorded no chain.
+template <typename Node>
+struct NoChain {
+  void clear() {}
+  void push(Node*) {}
+  void resize(std::size_t) {}
+  std::size_t size() const { return 0; }
+  void appendTo(std::vector<Node*>&) const {}
+  template <typename It>
+  void assign(It, It) {}
+};
+
+/// The nodes an update's search stepped through, minRoot first: the
+/// ancestors of the node (or null slot) it stopped at. The AVL's
+/// rebalancing walk climbs them. A search visits at most kMaxVisited nodes,
+/// so no chain holds more. The batch walk also keeps firstTouch's record of
+/// visited nodes in one.
+template <typename Node>
+class AncestorChain {
+ public:
+  AncestorChain() {}  // nodes_ stays uninitialized: only [0, size_) is read
+  void clear() { size_ = 0; }
+  void push(Node* n) {
+    PATHCAS_DCHECK(size_ < static_cast<std::size_t>(kMaxVisited));
+    nodes_[size_++] = n;
+  }
+  void pop() { --size_; }
+  void resize(std::size_t n) { size_ = n; }
+  std::size_t size() const { return size_; }
+  Node* operator[](std::size_t i) const { return nodes_[i]; }
+  Node* back() const { return nodes_[size_ - 1]; }
+  Node* const* begin() const { return nodes_; }
+  Node* const* end() const { return nodes_ + size_; }
+  void appendTo(std::vector<Node*>& out) const {
+    out.insert(out.end(), begin(), end());
+  }
+  template <typename It>
+  void assign(It first, It last) {
+    size_ = static_cast<std::size_t>(std::copy(first, last, nodes_) - nodes_);
+  }
+
+ private:
+  Node* nodes_[kMaxVisited];
+  std::size_t size_ = 0;
+};
+
 /// Configuration knobs (the §4.1 ablation).
 struct IntBstOptions {
   /// Skip validation when contains/insert finds the key (§4.1) and use exec
@@ -112,7 +163,6 @@ class InternalTreeCore {
       : opt_(options), ebr_(ebr), pool_(pool ? *pool : recl::defaultPool<Node>()) {
     maxRoot_ = pool_.alloc(kPosInf, V{});
     minRoot_ = pool_.alloc(kNegInf, V{});
-    Derived::adopt(minRoot_, maxRoot_, nullptr, nullptr);
     maxRoot_->left.setInitial(minRoot_);
   }
 
@@ -214,9 +264,10 @@ class InternalTreeCore {
     PATHCAS_DCHECK(key > kNegInf && key < kPosInf);
     auto guard = ebr_.pin();
     Node* leaf = nullptr;
+    typename Derived::Chain chain;
     for (;;) {
       start();
-      const SearchResult s = search(key);
+      const SearchResult s = search(key, chain);
       if (s.found) {
         if (opt_.reduceValidation || validate()) {
           // Never published (no add() committed it): direct recycle is safe.
@@ -226,15 +277,84 @@ class InternalTreeCore {
         continue;
       }
       if (leaf == nullptr) leaf = pool_.alloc(key, val);
-      Derived::adopt(leaf, s.parent, nullptr, nullptr);
       const K parentKey = s.parent->key;
       auto& ptrToChange =
           (key < parentKey) ? s.parent->left : s.parent->right;
       add(ptrToChange, static_cast<Node*>(nullptr), leaf);
       addVer(s.parent->ver, s.parentVer, verBump(s.parentVer));
       if (vex()) {
-        self().afterCommit(s.parent);
+        self().afterCommit(chain);
         return true;
+      }
+    }
+  }
+
+  /// delete(key) (Algorithm 6). Returns false iff key was absent.
+  bool erase(K key) {
+    PATHCAS_DCHECK(key > kNegInf && key < kPosInf);
+    auto guard = ebr_.pin();
+    typename Derived::Chain chain;
+    for (;;) {
+      start();
+      const SearchResult s = search(key, chain);
+      if (!s.found) {
+        if (validate()) return false;
+        continue;
+      }
+      if (isMarked(s.currVer) || isMarked(s.parentVer)) continue;
+      Node* curr = s.curr;
+      Node* parent = s.parent;
+      Node* const currLeft = curr->left;
+      Node* const currRight = curr->right;
+
+      if (currLeft == nullptr || currRight == nullptr) {
+        // Leaf or one-child deletion: splice the child (null for a leaf)
+        // into curr's place, and mark curr.
+        Node* childToKeep = (currLeft == nullptr) ? currRight : currLeft;
+        auto& ptrToChange =
+            (curr == parent->left.load()) ? parent->left : parent->right;
+        add(ptrToChange, curr, childToKeep);
+        addVer(parent->ver, s.parentVer, verBump(s.parentVer));
+        addVer(curr->ver, s.currVer, verMark(s.currVer));
+        if (execOrVex()) {
+          ebr_.retire(curr, pool_);
+          self().afterCommit(chain);
+          return true;
+        }
+      } else {
+        // Two-child deletion: replace curr's key/value with its successor's,
+        // then unlink the successor (which has no left child).
+        const Successor su = getSuccessor(curr, s.currVer, chain);
+        if (su.succ == nullptr || isMarked(su.succVer) ||
+            isMarked(su.succPVer)) {
+          continue;
+        }
+        // A rotation can move curr below its own right subtree between the
+        // reads, so a torn read can name curr its own successor; staging its
+        // version twice is undefined. A BST node never moves down.
+        if (Derived::kRotates && su.succ == curr) continue;
+        Node* const succR = su.succ->right;
+        if (succR != nullptr) {
+          const Version succRVer = visit(succR);
+          if (isMarked(succRVer)) continue;
+        }
+        auto& ptrToChange = (su.succP->right.load() == su.succ)
+                                ? su.succP->right
+                                : su.succP->left;
+        add(ptrToChange, su.succ, succR);
+        const V currVal = curr->val;
+        const V succVal = su.succ->val;
+        add(curr->val, currVal, succVal);
+        add(curr->key, key, su.succ->key.load());
+        addVer(su.succ->ver, su.succVer, verMark(su.succVer));
+        addVer(su.succP->ver, su.succPVer, verBump(su.succPVer));
+        if (su.succP != curr)
+          addVer(curr->ver, s.currVer, verBump(s.currVer));
+        if (vex()) {
+          ebr_.retire(su.succ, pool_);
+          self().afterCommit(chain);
+          return true;
+        }
       }
     }
   }
@@ -263,11 +383,11 @@ class InternalTreeCore {
 
   /// delete over a strictly-ascending key run. outcomes[i] is set true iff
   /// keys[i] was removed (false: absent); returns the number of removals.
-  /// The tree's unlinksInPlace rule decides which removals are staged into
-  /// the chunk's wide KCAS; the rest — removals whose node was already
-  /// touched by the same chunk (a child slot swing staged on it), and shapes
-  /// the tree does not stage — fall back to per-op erase() immediately after
-  /// the chunk commits.
+  /// Leaf and one-child removals are staged into the chunk's wide KCAS; the
+  /// rest — removals whose node was already touched by the same chunk (a
+  /// child slot swing staged on it), and two-child shapes the tree does not
+  /// stage — fall back to per-op erase() immediately after the chunk
+  /// commits.
   std::size_t eraseBatch(const K* keys, std::size_t n, bool* outcomes) {
     return runBatch({.keys = keys, .out = outcomes}, n);
   }
@@ -285,6 +405,16 @@ class InternalTreeCore {
         n);
   }
 
+#ifdef PATHCAS_TEST_HOOKS
+  /// Test builds only: the calling thread's stall point. The AVL's walk
+  /// calls it at each step (kWalkStep), after reading the step's node's
+  /// children and their versions, before it commits; the batch walk at each
+  /// frame (kBatchFrame), after reading the frame's child slots, before it
+  /// reads the children's.
+  enum class Stall { kWalkStep, kBatchFrame };
+  static inline thread_local std::function<void(Stall, const Node*)> stallHook;
+#endif
+
   // ------------------------------------------------------------------
   // Quiescent-state inspection (tests and the benchmark harness only).
   // ------------------------------------------------------------------
@@ -293,7 +423,7 @@ class InternalTreeCore {
   /// reachable node is marked. Aborts (PATHCAS_CHECK) on violations.
   /// Returns statistics. The AVL's own checkInvariants(bool) adds its checks.
   TreeStats checkInvariants() const {
-    return walkInvariants([](Node*, Node*) {});
+    return walkInvariants([](Node*) {});
   }
 
   std::uint64_t size() const { return self().checkInvariants().size; }
@@ -332,6 +462,27 @@ class InternalTreeCore {
 
   /// Algorithm 3: traditional BST search, visiting every node traversed.
   SearchResult search(K key) {
+    NoChain<Node> none;
+    return descend(key, none);
+  }
+
+  /// The search of an update, which also records in `chain` the nodes it
+  /// steps through, from minRoot to the result's parent. A NoChain takes
+  /// search() itself, so the BST's updates and its reads share one search.
+  template <typename Chain>
+  SearchResult search(K key, Chain& chain) {
+    if constexpr (std::is_same_v<Chain, NoChain<Node>>) {
+      return search(key);
+    } else {
+      return descend(key, chain);
+    }
+  }
+
+  /// Both searches' loop. Always inlined, so search() compiles as if it
+  /// had the loop to itself.
+  template <typename Chain>
+  [[gnu::always_inline]] SearchResult descend(K key, Chain& chain) {
+    chain.clear();
     Node* parent = maxRoot_;
     Version parentVer = visit(parent);
     Node* curr = minRoot_;
@@ -339,6 +490,7 @@ class InternalTreeCore {
     while (curr != nullptr) {
       const K currKey = curr->key;
       if (key == currKey) return {true, curr, currVer, parent, parentVer};
+      chain.push(curr);
       Node* next = (key > currKey) ? curr->right.load() : curr->left.load();
       parent = curr;
       parentVer = currVer;
@@ -354,16 +506,20 @@ class InternalTreeCore {
     return {false, nullptr, 0, parent, parentVer};
   }
 
-  /// Algorithm 5: locate curr's successor, visiting the traversed nodes.
-  Successor getSuccessor(Node* start, Version startVer) {
+  /// Algorithm 5: locate curr's successor, visiting the traversed nodes,
+  /// and extend `chain` from start to the successor's parent.
+  template <typename Chain>
+  Successor getSuccessor(Node* start, Version startVer, Chain& chain) {
     Node* succP = start;
     Version succPVer = startVer;
     Node* succ = start->right;
     if (succ == nullptr) return {nullptr, 0, nullptr, 0};
+    chain.push(start);
     Version succVer = visit(succ);
     for (;;) {
       Node* next = succ->left;
       if (next == nullptr) return {succ, succVer, succP, succPVer};
+      chain.push(succ);
       succP = succ;
       succPVer = succVer;
       succ = next;
@@ -421,8 +577,18 @@ class InternalTreeCore {
     std::vector<std::size_t> deferred{};  // erases run per-op after commit
     std::vector<Node*> built{};   // unpublished subtree roots (freed on abort)
     std::vector<Node*> unlink{};  // staged-out nodes (retired on commit)
-    std::vector<Node*> repair{};  // afterCommit roots: attach points and the
-                                  // parents of unlinked nodes
+    // The ancestors of the node being staged, minRoot first (the walk's
+    // stack; a failed attempt leaves it dirty, and each attempt clears it).
+    typename Derived::Chain chain{};
+    // afterCommit chains back to back, each from minRoot (which no chain
+    // holds twice) to its repair root: an attach point or the parent of an
+    // unlinked node.
+    std::vector<Node*> repair{};
+    // firstTouch's record: the nodes this attempt touched (a Chain, whose
+    // bound holds because every touched node was visited; empty on a tree
+    // whose nodes never move), and a 1024-bit filter of their addresses.
+    typename Derived::Chain touched{};
+    std::uint64_t touchedFilter[16] = {};
 
     bool insertOp(std::size_t i) const {
       return isInsert != nullptr ? isInsert[i] : allInsert;
@@ -437,6 +603,8 @@ class InternalTreeCore {
       built.clear();
       unlink.clear();
       repair.clear();
+      touched.clear();
+      if constexpr (Derived::kRotates) std::fill_n(touchedFilter, 16, 0);
     }
   };
 
@@ -464,8 +632,7 @@ class InternalTreeCore {
   std::size_t batchRun(std::size_t lo, std::size_t hi, BatchScratch& sc) {
     if (hi - lo == 1) {  // degraded to the per-op commit (k=1 fast path)
       const K key = sc.keys[lo];
-      sc.out[lo] =
-          sc.insertOp(lo) ? insert(key, sc.vals[lo]) : self().erase(key);
+      sc.out[lo] = sc.insertOp(lo) ? insert(key, sc.vals[lo]) : erase(key);
       return sc.out[lo] ? 1u : 0u;
     }
     auto guard = ebr_.pin();
@@ -476,6 +643,7 @@ class InternalTreeCore {
     for (int attempt = 0; attempt < kBatchRetries; ++attempt) {
       start();
       const Version rootVer = visit(minRoot_);
+      sc.chain.clear();
       EraseFrame rootFrame;
       const StageStatus s =
           stageBatchNode(minRoot_, rootVer, lo, hi, sc, rootFrame);
@@ -495,12 +663,18 @@ class InternalTreeCore {
     for (Node* dead : sc.unlink) ebr_.retire(dead, pool_);
     // An attached subtree is internally balanced but may unbalance the path
     // above its attach point, and an unlink shortens the path above its
-    // parent: repair from there (the AVL's Bougé walk-up).
-    for (Node* n : sc.repair) self().afterCommit(n);
+    // parent: repair from there (the AVL's Bougé walk-up), in staging order.
+    typename Derived::Chain chain;
+    for (auto first = sc.repair.begin(); first != sc.repair.end();) {
+      const auto last = std::find(first + 1, sc.repair.end(), minRoot_);
+      chain.assign(first, last);
+      self().afterCommit(chain);
+      first = last;
+    }
     std::size_t applied = sc.staged.size();
     for (std::size_t i : sc.staged) sc.out[i] = true;
     for (std::size_t i : sc.deferred) {
-      sc.out[i] = self().erase(sc.keys[i]);
+      sc.out[i] = erase(sc.keys[i]);
       if (sc.out[i]) ++applied;
     }
     sc.clear();  // the built subtrees are shared now
@@ -512,21 +686,46 @@ class InternalTreeCore {
     sc.clear();
   }
 
+  /// False if this attempt already touched n. Nodes of a tree that rotates
+  /// can move, so a rotation between two of the walk's reads can show it one
+  /// node in two places, and staging that node's words twice is undefined
+  /// (the KCAS accepts its own lock, so the second old value goes
+  /// unchecked); the attempt retries instead. Every node the walk stages
+  /// words of (frames, attach points, unlinked nodes and their parents)
+  /// passes here first. Only a node whose filter bit (the top bits of a
+  /// Fibonacci hash of its address) is already set is looked up in the
+  /// record, so a chunk's check stays near linear in its nodes.
+  static bool firstTouch(BatchScratch& sc, Node* n) {
+    if constexpr (Derived::kRotates) {
+      const auto h = static_cast<std::size_t>(
+          (reinterpret_cast<std::uintptr_t>(n) * 0x9E3779B97F4A7C15ull) >> 54);
+      std::uint64_t& word = sc.touchedFilter[h / 64];
+      const std::uint64_t bit = std::uint64_t{1} << (h % 64);
+      if ((word & bit) != 0 && std::find(sc.touched.begin(), sc.touched.end(),
+                                         n) != sc.touched.end()) {
+        return false;
+      }
+      word |= bit;
+      sc.touched.push(n);
+    }
+    return true;
+  }
+
   /// Stage ops [lo, hi) under `node` (already visited at nodeVer by the
   /// caller). The ops partition around node->key and recurse left and
   /// right, so ops sharing a path prefix share its visit()s. Bottom-up: a
   /// removed child reports its replacement through `fr`, and the parent
   /// stages the slot swing plus its own single version bump, so no address
   /// is staged twice. An insert match is a present key (outcome false). An
-  /// erase match is unlinked in-batch only when the tree's unlinksInPlace
-  /// allows its shape AND none of its child slots were staged by this same
-  /// chunk (otherwise the swing would race the staged edit); the rest defer
-  /// to per-op erase(). Keys partitioned into a null child slot are absent
-  /// erases or new inserts.
+  /// erase match is unlinked in-batch only when it has at most one child AND
+  /// none of its child slots were staged by this same chunk (otherwise the
+  /// swing would race the staged edit); the rest defer to per-op erase().
+  /// Keys partitioned into a null child slot are absent erases or new
+  /// inserts.
   StageStatus stageBatchNode(Node* node, Version nodeVer, std::size_t lo,
                              std::size_t hi, BatchScratch& sc,
                              EraseFrame& fr) {
-    if (isMarked(nodeVer)) return StageStatus::kRetry;
+    if (isMarked(nodeVer) || !firstTouch(sc, node)) return StageStatus::kRetry;
     const K nodeKey = node->key;
     const std::size_t mid = static_cast<std::size_t>(
         std::lower_bound(sc.keys + lo, sc.keys + hi, nodeKey) - sc.keys);
@@ -539,19 +738,23 @@ class InternalTreeCore {
     // slot load per node is a second cache miss per hop.
     Node* const left = (eraseMatch || lo < mid) ? node->left.load() : nullptr;
     Node* const right = (eraseMatch || rlo < hi) ? node->right.load() : nullptr;
+#ifdef PATHCAS_TEST_HOOKS
+    if (stallHook) stallHook(Stall::kBatchFrame, node);
+#endif
     bool childStaged = false;
+    sc.chain.push(node);  // the children's ancestors end at node
     if (lo < mid) {
-      const StageStatus s = stageBatchChild(node, node->left, left, lo, mid,
-                                            sc, childStaged);
+      const StageStatus s =
+          stageBatchChild(node->left, left, lo, mid, sc, childStaged);
       if (s != StageStatus::kOk) return s;
     }
     if (rlo < hi) {
-      const StageStatus s = stageBatchChild(node, node->right, right, rlo, hi,
-                                            sc, childStaged);
+      const StageStatus s =
+          stageBatchChild(node->right, right, rlo, hi, sc, childStaged);
       if (s != StageStatus::kOk) return s;
     }
     if (eraseMatch) {
-      if (childStaged || !Derived::unlinksInPlace(left, right)) {
+      if (childStaged || (left != nullptr && right != nullptr)) {
         sc.deferred.push_back(mid);
       } else {
         if (!stageBudgetLeft(*sc.dom, 2)) return StageStatus::kOverflow;
@@ -572,22 +775,26 @@ class InternalTreeCore {
     return StageStatus::kOk;
   }
 
-  /// Stage ops [lo, hi) into node's child slot `slot`, which held `child`.
-  StageStatus stageBatchChild(Node* node, casword<Node*>& slot, Node* child,
+  /// Stage ops [lo, hi) into a child slot `slot` of sc.chain's last node,
+  /// which held `child`. That node is the repair root of a change to the
+  /// slot.
+  StageStatus stageBatchChild(casword<Node*>& slot, Node* child,
                               std::size_t lo, std::size_t hi, BatchScratch& sc,
                               bool& childStaged) {
     if (child != nullptr) {
       if (!stageBudgetLeft(*sc.dom)) return StageStatus::kOverflow;
       const Version childVer = visit(child);
       EraseFrame cf;
+      const std::size_t depth = sc.chain.size();
       const StageStatus s =
           hi - lo > 1       ? stageBatchNode(child, childVer, lo, hi, sc, cf)
           : sc.insertOp(lo) ? stageInsertOne(child, childVer, lo, sc)
                             : stageEraseOne(child, childVer, lo, sc, cf);
       if (s != StageStatus::kOk) return s;
+      sc.chain.resize(depth);
       if (cf.removed) {
         add(slot, child, cf.repl);
-        sc.repair.push_back(node);
+        sc.chain.appendTo(sc.repair);
         childStaged = true;
       }
       return StageStatus::kOk;
@@ -599,33 +806,32 @@ class InternalTreeCore {
       if (sc.insertOp(i)) sc.staged.push_back(i);
     if (sc.staged.size() == first) return StageStatus::kOk;
     if (!stageBudgetLeft(*sc.dom, 2)) return StageStatus::kOverflow;
-    Node* const sub = buildSubtree(sc, first, sc.staged.size(), node);
+    Node* const sub = buildSubtree(sc, first, sc.staged.size());
     sc.built.push_back(sub);
-    sc.repair.push_back(node);
+    sc.chain.appendTo(sc.repair);
     add(slot, static_cast<Node*>(nullptr), sub);
     childStaged = true;
     return StageStatus::kOk;
   }
 
   /// Balanced subtree of the inserts sc.staged[lo..hi), built privately
-  /// under `parent` (setInitial, then adopt): it only becomes shared if the
-  /// staged link to it commits.
-  Node* buildSubtree(const BatchScratch& sc, std::size_t lo, std::size_t hi,
-                     Node* parent) {
+  /// (setInitial, then adopt): it only becomes shared if the staged link to
+  /// it commits.
+  Node* buildSubtree(const BatchScratch& sc, std::size_t lo, std::size_t hi) {
     const std::size_t mid = lo + (hi - lo) / 2;
     const std::size_t op = sc.staged[mid];
     Node* const n = pool_.alloc(sc.keys[op], sc.vals[op]);
     Node* l = nullptr;
     Node* r = nullptr;
     if (lo < mid) {
-      l = buildSubtree(sc, lo, mid, n);
+      l = buildSubtree(sc, lo, mid);
       n->left.setInitial(l);
     }
     if (mid + 1 < hi) {
-      r = buildSubtree(sc, mid + 1, hi, n);
+      r = buildSubtree(sc, mid + 1, hi);
       n->right.setInitial(r);
     }
-    Derived::adopt(n, parent, l, r);
+    Derived::adopt(n, l, r);
     return n;
   }
 
@@ -634,7 +840,8 @@ class InternalTreeCore {
   /// search()'s loop body: no partitioning, no recursion, one budget probe
   /// per hop. The node whose null slot takes the leaf gets the one version
   /// bump; it lies strictly inside this partition's subtree, which no other
-  /// partition touches, so no address is staged twice.
+  /// partition touches, so no address is staged twice. Each hop extends
+  /// sc.chain by the node it leaves; the caller trims it.
   StageStatus stageInsertOne(Node* node, Version nodeVer, std::size_t i,
                              BatchScratch& sc) {
     const K key = sc.keys[i];
@@ -645,13 +852,14 @@ class InternalTreeCore {
       if (key == nodeKey) return StageStatus::kOk;  // present: outcome false
       casword<Node*>& slot = key < nodeKey ? node->left : node->right;
       Node* const child = slot.load();
+      sc.chain.push(node);
       if (child == nullptr) {
+        if (!firstTouch(sc, node)) return StageStatus::kRetry;
         if (!stageBudgetLeft(dom, 2)) return StageStatus::kOverflow;
         Node* const leaf = pool_.alloc(key, sc.vals[i]);
-        Derived::adopt(leaf, node, nullptr, nullptr);
         sc.built.push_back(leaf);
         sc.staged.push_back(i);
-        sc.repair.push_back(node);
+        sc.chain.appendTo(sc.repair);
         add(slot, static_cast<Node*>(nullptr), leaf);
         addVer(node->ver, nodeVer, verBump(nodeVer));
         return StageStatus::kOk;
@@ -664,8 +872,8 @@ class InternalTreeCore {
     }
   }
 
-  /// The erase counterpart, tracking (parent, parentVer) like the per-op
-  /// search. A match below the partition root stages the full per-op entry
+  /// The erase counterpart, tracking (parent, parentVer) and sc.chain like
+  /// the per-op search. A match below the partition root stages the full per-op entry
   /// set — mark, slot swing, parent bump — directly: the parent lies inside
   /// this partition's subtree, which no other partition touches. A match AT
   /// the partition root reports through `fr` instead, because the caller's
@@ -686,9 +894,9 @@ class InternalTreeCore {
         Node* const right = node->right.load();
         if (left != nullptr && right != nullptr)
           return self().stageEraseTwoChild(node, nodeVer, right, i, sc);
-        if (!Derived::unlinksInPlace(left, right)) {  // the AVL's one-child
-          sc.deferred.push_back(i);
-          return StageStatus::kOk;
+        if (!firstTouch(sc, node) ||
+            (parent != nullptr && !firstTouch(sc, parent))) {
+          return StageStatus::kRetry;
         }
         Node* const repl = left != nullptr ? left : right;
         if (parent == nullptr) {
@@ -701,7 +909,7 @@ class InternalTreeCore {
           addVer(node->ver, nodeVer, verMark(nodeVer));
           add(*slot, node, repl);
           addVer(parent->ver, parentVer, verBump(parentVer));
-          sc.repair.push_back(parent);
+          sc.chain.appendTo(sc.repair);  // it ends at parent
         }
         sc.unlink.push_back(node);
         sc.staged.push_back(i);
@@ -713,6 +921,7 @@ class InternalTreeCore {
       if (!stageBudgetLeft(dom)) return StageStatus::kOverflow;
       prefetch(child->left);
       prefetch(child->right);
+      sc.chain.push(node);
       parent = node;
       parentVer = nodeVer;
       slot = &next;
@@ -754,7 +963,7 @@ class InternalTreeCore {
   }
 
   /// Walk the tree checking BST order, sentinel structure and that no
-  /// reachable node is marked; `check(n, parent)` adds the tree's own
+  /// reachable node is marked; `check(n)` adds the tree's own
   /// per-node checks. Aborts (PATHCAS_CHECK) on violations. Returns
   /// statistics.
   template <typename Check>
@@ -764,8 +973,7 @@ class InternalTreeCore {
     PATHCAS_CHECK(minRoot_->left.load() == nullptr);
     TreeStats stats;
     WalkSums sums;
-    walk(minRoot_->right.load(), minRoot_, kNegInf, kPosInf, 1, stats, sums,
-         check);
+    walk(minRoot_->right.load(), kNegInf, kPosInf, 1, stats, sums, check);
     if (stats.size) {
       stats.avgKeyDepth = static_cast<double>(sums.depth) / stats.size;
       stats.hotLinesPerNode =
@@ -788,21 +996,21 @@ class InternalTreeCore {
   }
 
   template <typename Check>
-  static void walk(Node* n, Node* parent, K lo, K hi, std::uint64_t depth,
+  static void walk(Node* n, K lo, K hi, std::uint64_t depth,
                    TreeStats& stats, WalkSums& sums, Check& check) {
     if (n == nullptr) return;
     const K k = n->key.load();
     PATHCAS_CHECK(k > lo && k < hi);
     PATHCAS_CHECK(!isMarked(n->ver.load()));
-    check(n, parent);
+    check(n);
     ++stats.size;
     ++stats.nodeCount;
     stats.keySum += static_cast<std::int64_t>(k);
     sums.depth += depth;
     sums.hotLines += hotLines(n);
     stats.height = std::max(stats.height, depth);
-    walk(n->left.load(), n, lo, k, depth + 1, stats, sums, check);
-    walk(n->right.load(), n, k, hi, depth + 1, stats, sums, check);
+    walk(n->left.load(), lo, k, depth + 1, stats, sums, check);
+    walk(n->right.load(), k, hi, depth + 1, stats, sums, check);
   }
 
   static void forEachRec(Node* n, const std::function<void(K, V)>& f) {

@@ -3,6 +3,7 @@
 // interleavings, chunk-split determinism (outcomes must not depend on
 // batchOpsPerCommit), graceful degradation when the staging budget
 // overflows on deep trees, the mixed-run two-child/deferred erase shapes,
+// the AVL's in-place one-child unlinks,
 // the same-key netting rule (service/netting.hpp) against a sequential
 // replay, and windowed linearizability stress mixing batched submissions
 // with racing single-op commits — on the plain trees and on the sharded
@@ -157,8 +158,9 @@ TEST(BatchOps, AvlOracleFuzz) {
 }
 
 TEST(BatchOps, AvlOracleFuzzSmallKeySpace) {
-  // As for the BST: most erase matches are one- or two-child nodes, which
-  // the AVL defers, and mixed runs unlink leaves beside staged inserts.
+  // As for the BST: most erase matches are one- or two-child nodes, so
+  // chunks unlink one-child nodes in place and defer two-child ones, and
+  // mixed runs unlink beside staged inserts.
   runBatchOracleFuzz<Avl>({}, 48, 1500, 0xBA7C4);
 }
 
@@ -300,6 +302,64 @@ TEST(BatchOps, MixedRunTwoChildAndDeferredErase) {
   {
     SCOPED_TRACE("int-avl-pathcas");
     runMixedRunTwoChildAndDeferredErase<Avl>();
+  }
+}
+
+// The AVL unlinks a chunk's one-child matches in place, as the BST does:
+// with no parent words, the splice stages only the node and its parent.
+// Every depth-3 node of this tree has one child, and each chunk below
+// erases some of them, beside inserts elsewhere in the second. A deferred
+// erase would run per op after the chunk's repair walks, so the tree the
+// first walk step sees must already hold every outcome, and the walks must
+// leave a strict AVL tree.
+TEST(BatchOps, AvlChunkUnlinksOneChildMatchesInPlace) {
+  /*            50
+   *        /           *      30          70
+   *     /  \        /     *   20    40    60    80
+   *   /       \     \        *  10       45    65    90   */
+  struct Chunk {
+    std::vector<std::int64_t> keys;
+    std::vector<char> isInsert;  // empty: eraseBatch
+    std::vector<std::int64_t> after;
+  };
+  const Chunk chunks[] = {
+      {{20, 40, 60, 80}, {}, {10, 30, 45, 50, 65, 70, 90}},
+      {{20, 35, 60, 85},
+       {0, 1, 0, 1},
+       {10, 30, 35, 40, 45, 50, 65, 70, 80, 85, 90}},
+  };
+  for (const Chunk& c : chunks) {
+    SCOPED_TRACE(c.isInsert.empty() ? "eraseBatch" : "updateBatch");
+    Avl t;
+    for (std::int64_t k : {50, 30, 70, 20, 40, 60, 80, 10, 45, 65, 90})
+      ASSERT_TRUE(t.insert(k, k));
+    std::vector<std::int64_t> firstSeen;
+    bool looked = false;
+    Avl::stallHook = [&](Avl::Stall point, const Avl::Node*) {
+      if (point != Avl::Stall::kWalkStep || looked) return;
+      looked = true;
+      t.forEach([&](std::int64_t k, std::int64_t) { firstSeen.push_back(k); });
+    };
+    bool out[4];
+    bool flags[4];
+    for (std::size_t i = 0; i < c.isInsert.size(); ++i)
+      flags[i] = c.isInsert[i] != 0;
+    const std::size_t applied =
+        c.isInsert.empty()
+            ? t.eraseBatch(c.keys.data(), c.keys.size(), out)
+            : t.updateBatch(c.keys.data(), c.keys.data(), flags,
+                            c.keys.size(), out);
+    Avl::stallHook = nullptr;
+    EXPECT_EQ(applied, c.keys.size());
+    for (std::size_t i = 0; i < c.keys.size(); ++i)
+      EXPECT_TRUE(out[i]) << "key " << c.keys[i];
+    EXPECT_TRUE(looked) << "no repair walk ran";
+    EXPECT_EQ(firstSeen, c.after) << "an erase ran after the repair walks";
+    const auto stats = t.checkInvariants(/*requireStrictBalance=*/true);
+    EXPECT_EQ(stats.size, c.after.size());
+    std::vector<std::int64_t> keys;
+    t.forEach([&](std::int64_t k, std::int64_t) { keys.push_back(k); });
+    EXPECT_EQ(keys, c.after);
   }
 }
 

@@ -1,12 +1,14 @@
 // Tests for the PathCAS relaxed AVL tree: oracle semantics, rotation
-// correctness (all four cases), parent-pointer and height invariants,
-// balance convergence (Bougé), the height bits of the version word, the
-// node layout, and concurrent keysum stress.
+// correctness (all four cases), height invariants, balance convergence
+// (Bougé), the height bits of the version word, the node layout, concurrent
+// keysum stress, and forced interleavings of the rebalancing walk and the
+// batch walk (the tree core's stall hook).
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <optional>
+#include <chrono>
 #include <cmath>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -202,20 +204,21 @@ TEST(IntAvlVersionDeathTest, HeightAbove255Aborts) {
 }
 #endif
 
-// A fresh pool carves slots back to back at a 48 B stride from a slab
-// aligned to 64 KiB, so slot offsets repeat 0, 48, 32, 16 within their
-// lines, and only the slot at 48 spreads its 32 search-hot bytes over two
-// lines. The 1024 nodes after the two sentinels are 256 whole periods of 4
-// slots, all in the first slab.
-TEST(IntAvlLayout, SearchHotWordsCrossALineInOneSlotOfFour) {
+// The AVL node is the BST's size (40 B): a fresh pool carves slots back to
+// back at a 40 B stride from a slab aligned to 64 KiB, so slot offsets
+// repeat 0, 40, 16, 56, 32, 8, 48, 24 within their lines, and the slots at
+// 40, 56 and 48 spread their 32 search-hot bytes over two lines. The 1024
+// nodes after the two sentinels are 128 whole periods of 8 slots, all in
+// the first slab.
+TEST(IntAvlLayout, SearchHotWordsCrossALineInThreeSlotsOfEight) {
   recl::NodePool<Avl::Node> pool;
   Avl t(IntBstOptions{}, recl::EbrDomain::instance(), &pool);
   constexpr std::int64_t kN = 1024;
   for (std::int64_t i = 0; i < kN; ++i) ASSERT_TRUE(t.insert(i * 617 % kN, i));
   const TreeStats s = t.checkInvariants();
   EXPECT_EQ(s.nodeCount, static_cast<std::uint64_t>(kN));
-  EXPECT_EQ(recl::NodePool<Avl::Node>::slotSize(), 48u);
-  EXPECT_DOUBLE_EQ(s.hotLinesPerNode, 1.25);
+  EXPECT_EQ(recl::NodePool<Avl::Node>::slotSize(), 40u);
+  EXPECT_DOUBLE_EQ(s.hotLinesPerNode, 1.375);
 }
 
 // ---------------------------------------------------------------------------
@@ -334,6 +337,182 @@ TEST(IntAvlConcurrent, StablePresentKeysAlwaysFound) {
   for (auto& th : churn) th.join();
   EXPECT_EQ(tornGets, 0u) << "get() returned another key's value";
   t.checkInvariants(false);
+}
+
+// ---------------------------------------------------------------------------
+// Forced interleavings of the rebalancing walk and the batch walk. A walker
+// thread parks at a stall point while this thread changes the tree; then it
+// resumes. The stall points (Avl::stallHook): kWalkStep, after a
+// rebalancing step has read its node's children and their versions, before
+// it commits, and kBatchFrame, after a batch frame has read its node's child
+// slots, before it reads the children's. Each test is one fixed schedule.
+// ---------------------------------------------------------------------------
+
+/// Parks the thread that installs it at its first stop at `point` on the
+/// node holding key `at`, until released, and records the key of every stop
+/// that thread makes there.
+class WalkPark {
+ public:
+  explicit WalkPark(std::int64_t at, Avl::Stall point = Avl::Stall::kWalkStep)
+      : at_(at), point_(point) {}
+
+  /// Run on the walker thread, before its update.
+  void install() {
+    Avl::stallHook = [this](Avl::Stall point, const Avl::Node* n) {
+      if (point != point_) return;
+      const std::int64_t k = n->key.load();
+      steps_.push_back(k);
+      if (k != at_ || parked_.load()) return;
+      parkedNode_ = n;
+      parked_.store(true);
+      while (!released_.load()) std::this_thread::yield();
+    };
+  }
+  /// True once the walker is parked; false if it has not parked in 10 s.
+  bool awaitParked() const {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!parked_.load()) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::yield();
+    }
+    return true;
+  }
+  void release() { released_.store(true); }
+  /// Read after the walker thread is joined.
+  const std::vector<std::int64_t>& steps() const { return steps_; }
+  const Avl::Node* parkedNode() const { return parkedNode_; }
+
+ private:
+  const std::int64_t at_;
+  const Avl::Stall point_;
+  std::atomic<bool> parked_{false};
+  std::atomic<bool> released_{false};
+  std::vector<std::int64_t> steps_;
+  const Avl::Node* parkedNode_ = nullptr;
+};
+
+/// Runs `update` on a walker thread that parks at key `at`; while it is
+/// parked, runs `meanwhile` here; then releases and joins it.
+template <typename Update, typename Meanwhile>
+void parkWalkerAt(WalkPark& park, Update update, Meanwhile meanwhile) {
+  std::thread walker([&] {
+    ThreadGuard tg;
+    park.install();
+    update();
+  });
+  const bool parked = park.awaitParked();
+  if (parked) meanwhile();
+  park.release();
+  walker.join();
+  ASSERT_TRUE(parked) << "the walker never reached its stall point";
+}
+
+//      20            The walker inserts 35, fixes 30 (h1 -> h2) and parks at
+//     /  \           20, whose fix it computed from 10 (h1) and 30 (h2):
+//   10    30         h3. This thread then erases 35, which takes 30 back to
+//           \        h1; its own walk finds 20 consistent (h2) and ends
+//            35      there. The walker's commit must fail validation on 30's
+//                    new version and retry, which finds 20 consistent too. A
+// fix committed without that validation (exec() instead of vexec()) would
+// leave 20 at h3 above two leaves.
+TEST(IntAvlWalk, FixRetriesWhenAVisitedChildChangesHeight) {
+  Avl t;
+  for (std::int64_t k : {20, 10, 30}) ASSERT_TRUE(t.insert(k, k));
+  WalkPark park(20);
+  parkWalkerAt(
+      park, [&] { EXPECT_TRUE(t.insert(35, 35)); },
+      [&] { EXPECT_TRUE(t.erase(35)); });
+  // 20's step ran twice: the failed commit, then the retry.
+  EXPECT_EQ(park.steps(), (std::vector<std::int64_t>{30, 20, 20}));
+  ASSERT_NE(park.parkedNode(), nullptr);
+  EXPECT_EQ(avlHeight(park.parkedNode()->ver.load()), 2);
+  t.checkInvariants(/*requireStrictBalance=*/true);
+}
+
+//          50                        20
+//        /    \                    /    \ .
+//      20      60      =>        10      50
+//     /  \       \              /       /  \ .
+//   10    30      70           5      30    60
+//   /                                   \ .
+//  5                                     35
+//
+// The walker inserts 35 and parks at its first step, fixing 30 (h1 -> h2).
+// Its search recorded 20 as 30's parent. This thread erases 70, and its
+// walk rotates right at 50, which moves 30 from 20 to 50 without a version
+// bump and sets 50's height from 30's old one (h2). The walker's fix of 30
+// then commits, so 50 must become h3 and 20 h4. The walker's next step is
+// at 20, which no longer has 30 as a child: it must search again for 30,
+// repair 50, then 20. Stopping at 20, which looks consistent there, would
+// leave 50 one too low.
+TEST(IntAvlWalk, StaleChainSearchesAgainAndRepairsTheNewParent) {
+  Avl t;
+  for (std::int64_t k : {50, 20, 60, 10, 30, 70, 5})
+    ASSERT_TRUE(t.insert(k, k));
+  t.checkInvariants(/*requireStrictBalance=*/true);
+  WalkPark park(30);
+  parkWalkerAt(
+      park, [&] { EXPECT_TRUE(t.insert(35, 35)); },
+      [&] { EXPECT_TRUE(t.erase(70)); });
+  EXPECT_EQ(park.steps(), (std::vector<std::int64_t>{30, 50, 20}));
+  // No rebalanceToConvergence(): the walks alone left a strict AVL tree.
+  const TreeStats s = t.checkInvariants(/*requireStrictBalance=*/true);
+  EXPECT_EQ(s.size, 7u);
+  EXPECT_EQ(s.height, 4u);
+}
+
+//        50                  30
+//       /  \               /    \ .
+//     30    70    =>     20      50
+//    /  \               /       /  \ .
+//  20    40           10      40    70
+//
+// A batch walker (updateBatch: insert 25, erase 40, erase 70) parks at its
+// frame on 50, having read 50's children 30 and 70. This thread inserts 10,
+// and its walk rotates right at 50. The walker resumes at 30 and reaches 40
+// through 30's new right child, 50: unlinking 40 would stage 50's version as
+// 40's parent, and unlinking 70 would stage it again as the frame's own
+// bump. A KCAS may not stage one address twice, so the chunk must retry
+// when it meets 50 a second time, and its second attempt walks from the new
+// root 30.
+TEST(IntAvlWalk, BatchRetriesWhenARotationShowsItANodeTwice) {
+  Avl t;
+  for (std::int64_t k : {50, 30, 70, 20, 40}) ASSERT_TRUE(t.insert(k, k));
+  WalkPark park(50, Avl::Stall::kBatchFrame);
+  const std::int64_t keys[] = {25, 40, 70};
+  const bool isInsert[] = {true, false, false};
+  bool out[3];
+  parkWalkerAt(
+      park,
+      [&] { EXPECT_EQ(t.updateBatch(keys, keys, isInsert, 3, out), 3u); },
+      [&] { EXPECT_TRUE(t.insert(10, 10)); });
+  // Two attempts' frames, each from minRoot.
+  EXPECT_EQ(park.steps(), (std::vector<std::int64_t>{Avl::kNegInf, 50, 30,
+                                                     Avl::kNegInf, 30, 50}));
+  for (bool o : out) EXPECT_TRUE(o);
+  const TreeStats s = t.checkInvariants(/*requireStrictBalance=*/true);
+  EXPECT_EQ(s.size, 5u);
+  std::vector<std::int64_t> present;
+  t.forEach([&](std::int64_t k, std::int64_t) { present.push_back(k); });
+  EXPECT_EQ(present, (std::vector<std::int64_t>{10, 20, 25, 30, 50}));
+}
+
+// A batch's repair chains are recorded while it stages, before any repair
+// walk runs. Here the first walk (from 1, under which the batch attached
+// 2..8) rotates twice and makes 5 the root; the second (from 13) still
+// holds the chain minRoot, 9, 13. It fixes 13 and 9, and then its chain's
+// next node is minRoot, whose child 9 no longer is: it must search again,
+// and fix 5. Ending at minRoot would leave the root one too low.
+TEST(IntAvlWalk, StaleChainBelowANewRootSearchesAgain) {
+  Avl t;
+  for (std::int64_t k : {9, 1, 13, 0}) ASSERT_TRUE(t.insert(k, k));
+  const std::int64_t keys[] = {2, 3, 4, 5, 6, 8, 10, 12, 14, 15};
+  bool out[10];
+  EXPECT_EQ(t.insertBatch(keys, keys, 10, out), 10u);
+  const TreeStats s = t.checkInvariants(/*requireStrictBalance=*/true);
+  EXPECT_EQ(s.size, 14u);
+  EXPECT_EQ(s.height, 5u);
 }
 
 }  // namespace
