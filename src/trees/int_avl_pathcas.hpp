@@ -18,8 +18,8 @@
 // ever changes in a KCAS that also bumps that node's version, so fixHeight
 // and the rotations write it into the version entry they stage anyway, and
 // a visit() returns the node's height with its version, validated with it.
-// The node is 40 B, the BST's size, with the words a search reads (ver,
-// key, left, right) in its first 32 B.
+// The node is 32 B, the BST's size, with the words a search reads (ver,
+// key, kids) first; kids holds both children as pool slot indices.
 //
 // Deviations from the paper's pseudocode (which contains typos) are
 // normalized to one rule: ANY node whose fields change in a vexec has its
@@ -62,11 +62,10 @@ inline Version withAvlHeight(Version v, std::int64_t h) {
 
 template <typename K, typename V>
 struct IntAvlNode {
-  // Search-hot words first: a search reads ver, key, left and right.
+  // Search-hot words first: a search reads ver, key and kids.
   casword<Version> ver;  // mark, counter and height (avlHeight)
   casword<K> key;
-  casword<IntAvlNode*> left;
-  casword<IntAvlNode*> right;
+  casword<Kids> kids;  // both children, as slot indices in the tree's pool
   casword<V> val;
 
   IntAvlNode(K k, V v) {
@@ -76,7 +75,7 @@ struct IntAvlNode {
   }
 };
 
-static_assert(sizeof(IntAvlNode<std::int64_t, std::int64_t>) == 40);
+static_assert(sizeof(IntAvlNode<std::int64_t, std::int64_t>) == 32);
 static_assert(searchHotFirst<IntAvlNode<std::int64_t, std::int64_t>>());
 
 template <typename K = std::int64_t, typename V = std::int64_t>
@@ -100,10 +99,11 @@ class IntAvlPathCas
   /// is 1 + max(child heights) and that children differ in height by <= 1:
   /// the state Bougé's rebalancing converges to.
   TreeStats checkInvariants(bool requireStrictBalance = false) const {
-    return this->walkInvariants([requireStrictBalance](Node* n) {
+    return this->walkInvariants([this, requireStrictBalance](Node* n) {
       if (requireStrictBalance) {
-        Node* const l = n->left.load();
-        Node* const r = n->right.load();
+        const Kids kids = n->kids.load();
+        Node* const l = childOf(kids, false);
+        Node* const r = childOf(kids, true);
         PATHCAS_CHECK(heightOf(n) == 1 + std::max(heightOf(l), heightOf(r)));
         const std::int64_t bal = heightOf(l) - heightOf(r);
         PATHCAS_CHECK(bal >= -1 && bal <= 1);
@@ -117,14 +117,15 @@ class IntAvlPathCas
     bool changed = true;
     while (changed) {
       changed = false;
-      fixAll(minRoot_->right.load(), changed);
+      fixAll(root(), changed);
     }
   }
 
   static constexpr const char* name() { return "int-avl-pathcas"; }
 
  private:
-  using Core::minRoot_, Core::search, Core::vex;
+  using Core::childOf, Core::isRightChild, Core::minRoot_, Core::relink,
+      Core::root, Core::search, Core::vex;
   using Chain = AncestorChain<Node>;
 
   enum class FixResult { kSuccess, kFailure, kUnnecessary };
@@ -172,8 +173,9 @@ class IntAvlPathCas
       Node* const n = chain.back();
       start();
       const Version nV = n->ver.load();
-      Node* const l = n->left;
-      Node* const r = n->right;
+      const Kids nK = n->kids.load();
+      Node* const l = childOf(nK, false);
+      Node* const r = childOf(nK, true);
       if (from != nullptr && (isMarked(nV) || (from != l && from != r))) {
         if (!relocate(from, chain, attempts)) return;
         continue;
@@ -198,10 +200,11 @@ class IntAvlPathCas
         }
         continue;
       }
-      // A rotation swings p's child pointer: only it needs p's version.
+      // A rotation relinks p's child: only it needs p's version.
       Node* const p = chain[chain.size() - 2];
       const Version pV = visit(p);
-      if (isMarked(pV) || (p->left.load() != n && p->right.load() != n)) {
+      const Kids pK = p->kids.load();
+      if (isMarked(pV) || (childOf(pK, false) != n && childOf(pK, true) != n)) {
         if (!relocate(n, chain, attempts)) return;
         chain.push(n);
         continue;
@@ -211,8 +214,9 @@ class IntAvlPathCas
       const bool left = balance >= 2;
       Node* const c = left ? l : r;
       if (c == nullptr) continue;  // height raced; retry
-      Node* const cl = c->left;
-      Node* const cr = c->right;
+      const Kids cK = c->kids.load();
+      Node* const cl = childOf(cK, false);
+      Node* const cr = childOf(cK, true);
       Version clV = 0, crV = 0;
       if (cl != nullptr) clV = visit(cl);
       if (cr != nullptr) crV = visit(cr);
@@ -220,11 +224,12 @@ class IntAvlPathCas
       Node* const inner = left ? cr : cl;  // c's child on n's side
       const Version innerV = left ? crV : clV;
       const Version outerV = left ? clV : crV;
+      const Seen ps{p, pV, pK}, ns{n, nV, nK}, cs{c, left ? lV : rV, cK};
       if (avlHeight(innerV) > avlHeight(outerV)) {
         if (inner == nullptr) continue;
-        if (rotateDouble(p, pV, n, nV, c, left ? lV : rV, inner, innerV, left))
+        if (rotateDouble(ps, ns, cs, inner, innerV, left))
           from = afterRotation(chain, inner, {n, c});
-      } else if (rotateSingle(p, pV, n, nV, c, left ? lV : rV, left)) {
+      } else if (rotateSingle(ps, ns, cs, left)) {
         from = afterRotation(chain, c, {n});
       }
     }
@@ -297,17 +302,18 @@ class IntAvlPathCas
     return true;
   }
 
-  /// Attach replacement in n's place under p. Returns false if n is not
-  /// p's child.
-  bool addParentSwing(Node* p, Node* n, Node* replacement) {
-    if (p->right.load() == n) {
-      add(p->right, n, replacement);
-    } else if (p->left.load() == n) {
-      add(p->left, n, replacement);
-    } else {
-      return false;
-    }
-    return true;
+  /// A node as the walk read it: its version, then its kids word.
+  struct Seen {
+    Node* n;
+    Version ver;
+    Kids kids;
+  };
+
+  /// Stage p's relink of its child n to replacement (the walk checked that
+  /// p.kids holds n).
+  void swingParent(const Seen& p, Node* n, Node* replacement) {
+    add(p.n->kids, p.kids,
+        relink(p.kids, isRightChild(p.kids, n), replacement));
   }
 
   /// Visit c and return its height (0 for null), or -1 if c is marked.
@@ -317,44 +323,47 @@ class IntAvlPathCas
     return isMarked(v) ? -1 : avlHeight(v);
   }
 
-  /// n's child slot on side `left` (its left slot if true).
-  static casword<Node*>& side(Node* n, bool left) {
-    return left ? n->left : n->right;
+  /// The child on side `left` (the left child if true) in kids word k.
+  Node* side(Kids k, bool left) const { return childOf(k, !left); }
+
+  /// k with its child on side `left` replaced by c.
+  Kids withSide(Kids k, bool left, const Node* c) const {
+    return relink(k, !left, c);
   }
 
   /// Algorithm 11 (and its mirror): single rotation, drawn for left = true
   /// (c = l; the mirror swaps every left and right). lr only moves, so it
-  /// is visited, not staged.
+  /// is visited, not staged. p, n and c each take one kids entry.
   ///        p                p
   ///        n       =>       l
   ///       / \              / \ .
   ///      l   r            ll  n
   ///     / \                  / \ .
   ///    ll  lr               lr  r
-  bool rotateSingle(Node* p, Version pV, Node* n, Version nV, Node* c,
-                    Version cV, bool left) {
-    Node* const inner = side(c, !left);  // lr
-    if (!distinctNodes({p, n, c})) return false;
-    if (!addParentSwing(p, n, c)) return false;
+  bool rotateSingle(const Seen& p, const Seen& n, const Seen& c, bool left) {
+    Node* const inner = side(c.kids, !left);  // lr
+    if (!distinctNodes({p.n, n.n, c.n})) return false;
     const std::int64_t innerH = visitHeight(inner);
     if (innerH < 0) return false;
-    const std::int64_t outerH = visitHeight(side(c, left));  // ll
+    const std::int64_t outerH = visitHeight(side(c.kids, left));  // ll
     if (outerH < 0) return false;
-    const std::int64_t otherH = visitHeight(side(n, !left));  // r
+    const std::int64_t otherH = visitHeight(side(n.kids, !left));  // r
     if (otherH < 0) return false;
     const std::int64_t newNH = 1 + std::max(innerH, otherH);
     const std::int64_t newCH = 1 + std::max(outerH, newNH);
-    add(side(n, left), c, inner);
-    add(side(c, !left), inner, n);
-    addVer(p->ver, pV, verBump(pV));
-    addVer(n->ver, nV, withAvlHeight(verBump(nV), newNH));
-    addVer(c->ver, cV, withAvlHeight(verBump(cV), newCH));
+    swingParent(p, n.n, c.n);
+    add(n.n->kids, n.kids, withSide(n.kids, left, inner));
+    add(c.n->kids, c.kids, withSide(c.kids, !left, n.n));
+    addVer(p.n->ver, p.ver, verBump(p.ver));
+    addVer(n.n->ver, n.ver, withAvlHeight(verBump(n.ver), newNH));
+    addVer(c.n->ver, c.ver, withAvlHeight(verBump(c.ver), newCH));
     return vex();
   }
 
   /// Algorithm 9 (and its mirror): double rotation, fused into one PathCAS,
-  /// drawn for left = true (c = l, m = lr). lrl and lrr only move, so they
-  /// are visited, not staged.
+  /// drawn for left = true (c = l, m = lr, visited at mV). lrl and lrr only
+  /// move, so they are visited, not staged. p, n, c and m each take one
+  /// kids entry; m's takes both its new children.
   ///        p                 p
   ///        n                lr
   ///      /   \             /   \ .
@@ -363,41 +372,42 @@ class IntAvlPathCas
   ///   ll  lr            ll lrl lrr r
   ///      /  \ .
   ///    lrl  lrr
-  bool rotateDouble(Node* p, Version pV, Node* n, Version nV, Node* c,
-                    Version cV, Node* m, Version mV, bool left) {
-    Node* const mc = side(m, left);   // lrl, which moves under c
-    Node* const mn = side(m, !left);  // lrr, which moves under n
-    if (!distinctNodes({p, n, c, m})) return false;
-    if (!addParentSwing(p, n, m)) return false;
+  bool rotateDouble(const Seen& p, const Seen& n, const Seen& c, Node* m,
+                    Version mV, bool left) {
+    const Kids mK = m->kids.load();
+    Node* const mc = side(mK, left);   // lrl, which moves under c
+    Node* const mn = side(mK, !left);  // lrr, which moves under n
+    if (!distinctNodes({p.n, n.n, c.n, m})) return false;
     const std::int64_t mcH = visitHeight(mc);
     if (mcH < 0) return false;
     const std::int64_t mnH = visitHeight(mn);
     if (mnH < 0) return false;
-    const std::int64_t otherH = visitHeight(side(n, !left));  // r
+    const std::int64_t otherH = visitHeight(side(n.kids, !left));  // r
     if (otherH < 0) return false;
-    const std::int64_t outerH = visitHeight(side(c, left));  // ll
+    const std::int64_t outerH = visitHeight(side(c.kids, left));  // ll
     if (outerH < 0) return false;
     const std::int64_t newNH = 1 + std::max(mnH, otherH);
     const std::int64_t newCH = 1 + std::max(outerH, mcH);
     const std::int64_t newMH = 1 + std::max(newNH, newCH);
-    add(side(m, left), mc, c);
-    add(side(m, !left), mn, n);
-    add(side(c, !left), m, mc);
-    add(side(n, left), c, mn);
+    swingParent(p, n.n, m);
+    add(m->kids, mK, withSide(withSide(mK, left, c.n), !left, n.n));
+    add(c.n->kids, c.kids, withSide(c.kids, !left, mc));
+    add(n.n->kids, n.kids, withSide(n.kids, left, mn));
     addVer(m->ver, mV, withAvlHeight(verBump(mV), newMH));
-    addVer(p->ver, pV, verBump(pV));
-    addVer(n->ver, nV, withAvlHeight(verBump(nV), newNH));
-    addVer(c->ver, cV, withAvlHeight(verBump(cV), newCH));
+    addVer(p.n->ver, p.ver, verBump(p.ver));
+    addVer(n.n->ver, n.ver, withAvlHeight(verBump(n.ver), newNH));
+    addVer(c.n->ver, c.ver, withAvlHeight(verBump(c.ver), newCH));
     return vex();
   }
 
   void fixAll(Node* n, bool& changed) {
     if (n == nullptr) return;
-    fixAll(n->left.load(), changed);
-    fixAll(n->right.load(), changed);
+    fixAll(childOf(n->kids.load(), false), changed);
+    fixAll(childOf(n->kids.load(), true), changed);
     // Re-read children: a rotation below may have restructured.
-    Node* const l = n->left.load();
-    Node* const r = n->right.load();
+    const Kids kids = n->kids.load();
+    Node* const l = childOf(kids, false);
+    Node* const r = childOf(kids, true);
     const std::int64_t want = 1 + std::max(heightOf(l), heightOf(r));
     const std::int64_t bal = heightOf(l) - heightOf(r);
     if (heightOf(n) != want || bal >= 2 || bal <= -2) {

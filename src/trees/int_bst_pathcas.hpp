@@ -22,11 +22,10 @@ namespace pathcas::ds {
 
 template <typename K, typename V>
 struct IntBstNode {
-  // Search-hot words first: a search reads ver, key, left and right.
+  // Search-hot words first: a search reads ver, key and kids.
   casword<Version> ver;
   casword<K> key;
-  casword<IntBstNode*> left;
-  casword<IntBstNode*> right;
+  casword<Kids> kids;  // both children, as slot indices in the tree's pool
   casword<V> val;
 
   IntBstNode(K k, V v) {
@@ -35,7 +34,7 @@ struct IntBstNode {
   }
 };
 
-static_assert(sizeof(IntBstNode<std::int64_t, std::int64_t>) == 40);
+static_assert(sizeof(IntBstNode<std::int64_t, std::int64_t>) == 32);
 static_assert(searchHotFirst<IntBstNode<std::int64_t, std::int64_t>>());
 
 template <typename K = std::int64_t, typename V = std::int64_t>
@@ -85,8 +84,8 @@ class IntBstPathCas
       spare->val.setInitial(val);
     }
     const K parentKey = s.parent->key;
-    auto& ptrToChange = (key < parentKey) ? s.parent->left : s.parent->right;
-    add(ptrToChange, static_cast<Node*>(nullptr), spare);
+    add(s.parent->kids, s.parentKids,
+        relink(s.parentKids, key > parentKey, spare));
     addVer(s.parent->ver, s.parentVer, verBump(s.parentVer));
     return Staged::kStaged;
   }
@@ -102,32 +101,31 @@ class IntBstPathCas
     if (isMarked(s.currVer) || isMarked(s.parentVer)) return Staged::kRetry;
     Node* const curr = s.curr;
     Node* const parent = s.parent;
-    Node* const currLeft = curr->left;
-    Node* const currRight = curr->right;
+    const Kids currKids = curr->kids.load();
+    Node* const currLeft = childOf(currKids, false);
+    Node* const currRight = childOf(currKids, true);
     const V currVal = curr->val;
     if (erasedVal != nullptr) *erasedVal = currVal;
     if (currLeft == nullptr || currRight == nullptr) {
       Node* const childToKeep = (currLeft == nullptr) ? currRight : currLeft;
-      auto& ptrToChange =
-          (curr == parent->left.load()) ? parent->left : parent->right;
-      add(ptrToChange, curr, childToKeep);
+      add(parent->kids, s.parentKids,
+          relink(s.parentKids, isRightChild(s.parentKids, curr), childToKeep));
       addVer(parent->ver, s.parentVer, verBump(s.parentVer));
       addVer(curr->ver, s.currVer, verMark(s.currVer));
       *victim = curr;
       return Staged::kStaged;
     }
     NoChain<Node> none;
-    const Successor su = getSuccessor(curr, s.currVer, none);
+    const Successor su = getSuccessor(curr, s.currVer, currKids, none);
     if (su.succ == nullptr || isMarked(su.succVer) || isMarked(su.succPVer))
       return Staged::kRetry;
-    Node* const succR = su.succ->right;
+    Node* const succR = childOf(su.succKids, true);
     if (succR != nullptr) {
       const Version succRVer = visit(succR);
       if (isMarked(succRVer)) return Staged::kRetry;
     }
-    auto& ptrToChange =
-        (su.succP->right.load() == su.succ) ? su.succP->right : su.succP->left;
-    add(ptrToChange, su.succ, succR);
+    add(su.succP->kids, su.succPKids,
+        relink(su.succPKids, isRightChild(su.succPKids, su.succ), succR));
     const V succVal = su.succ->val;
     add(curr->val, currVal, succVal);
     add(curr->key, key, su.succ->key.load());
@@ -162,7 +160,8 @@ class IntBstPathCas
  private:
   using typename Core::BatchScratch, typename Core::SearchResult,
       typename Core::StageStatus, typename Core::Successor;
-  using Core::ebr_, Core::getSuccessor, Core::pool_, Core::search,
+  using Core::childOf, Core::ebr_, Core::getSuccessor, Core::isRightChild,
+      Core::pool_, Core::prefetchKids, Core::relink, Core::search,
       Core::stageBudgetLeft;
 
   // Core hooks: nothing to record or repair, and nodes never move down.
@@ -178,35 +177,38 @@ class IntBstPathCas
   /// none of its words can already be staged by another partition. The
   /// partition walk still defers its two-child matches to per-op erase():
   /// there a sibling key may have staged a slot on the successor path.
-  StageStatus stageEraseTwoChild(Node* node, Version nodeVer, Node* right,
+  StageStatus stageEraseTwoChild(Node* node, Version nodeVer, Kids nodeKids,
                                  std::size_t i, BatchScratch& sc) {
     const K key = sc.keys[i];
     k::DefaultDomain& dom = *sc.dom;
     Node* succP = node;
     Version succPVer = nodeVer;
+    Kids succPKids = nodeKids;
     if (!stageBudgetLeft(dom)) return StageStatus::kOverflow;
-    Node* succ = right;
+    Node* succ = childOf(nodeKids, true);
     Version succVer = visit(succ);
+    Kids succKids;
     for (;;) {
       if (isMarked(succVer)) return StageStatus::kRetry;
-      Node* const nl = succ->left.load();
+      succKids = succ->kids.load();
+      Node* const nl = childOf(succKids, false);
       if (nl == nullptr) break;
       if (!stageBudgetLeft(dom)) return StageStatus::kOverflow;
-      prefetch(nl->left);
+      prefetchKids(nl);
       succP = succ;
       succPVer = succVer;
+      succPKids = succKids;
       succVer = visit(nl);
       succ = nl;
     }
-    Node* const succR = succ->right.load();
+    Node* const succR = childOf(succKids, true);
     if (succR != nullptr) {
       if (!stageBudgetLeft(dom)) return StageStatus::kOverflow;
       const Version succRVer = visit(succR);
       if (isMarked(succRVer)) return StageStatus::kRetry;
     }
     if (!stageBudgetLeft(dom, 6)) return StageStatus::kOverflow;
-    auto& ptrToChange = (succP == node) ? node->right : succP->left;
-    add(ptrToChange, succ, succR);
+    add(succP->kids, succPKids, relink(succPKids, succP == node, succR));
     const V currVal = node->val;
     const V succVal = succ->val;
     add(node->val, currVal, succVal);

@@ -29,6 +29,10 @@
 // (key -inf); all real keys live in minRoot's right subtree. Every node
 // carries a PathCAS version word; nodes are unlinked and marked in the same
 // atomic PathCAS (so reachability == unmarked), and retired through EBR.
+// A node holds both child links in one word, `kids`: two slot indices into
+// the tree's NodePool (Kids below). A search reads one child word per
+// level, and an update stages one kids entry per node it relinks, however
+// many of that node's children change.
 //
 // Linearizability follows the paper's appendix E argument: every update
 // either performs a successful PathCAS whose validation/entries pin the
@@ -63,23 +67,43 @@ struct TreeStats {
   std::int64_t keySum = 0;
   std::uint64_t footprintBytes = 0;  // nodeCount * sizeof(Node)
   /// Mean number of 64 B lines a node's search-hot words (ver through
-  /// right) span, from the addresses of the reachable nodes: the lines one
+  /// kids) span, from the addresses of the reachable nodes: the lines one
   /// visited node costs a search.
   double hotLinesPerNode = 0.0;
 };
 
-/// Bytes of a node's search-hot words: ver, key, left and right.
-inline constexpr std::size_t kSearchHotBytes = 4 * sizeof(k::word_t);
+/// A node's two child links in one word (its `kids` casword): the left
+/// child's slot index in the tree's NodePool in bits 0-29, the right
+/// child's in bits 30-59, and 0 for a null child (the pool never hands out
+/// slot 0). Two pointers would not fit one casword payload; two indices
+/// do, so one load reads both children and one entry relinks both.
+using Kids = std::uint64_t;
+inline constexpr int kKidBits = recl::kArenaIndexBits;
+inline constexpr Kids kKidMask = (Kids{1} << kKidBits) - 1;
+static_assert(2 * kKidBits <= 61, "both indices must fit a casword payload");
 
-/// True iff Node keeps its search-hot words in its first kSearchHotBytes,
-/// so a node that starts at most 32 B into a line reads one line per visit.
-/// Each tree asserts it next to its node type.
+/// The slot index of the child on side `right` (the right child if true).
+constexpr std::uint32_t kid(Kids k, bool right) {
+  return static_cast<std::uint32_t>((k >> (right ? kKidBits : 0)) & kKidMask);
+}
+
+/// k with the child on side `right` replaced by slot index i.
+constexpr Kids withKid(Kids k, bool right, std::uint32_t i) {
+  const int shift = right ? kKidBits : 0;
+  return (k & ~(kKidMask << shift)) | (Kids{i} << shift);
+}
+
+/// Bytes of a node's search-hot words: ver, key and kids.
+inline constexpr std::size_t kSearchHotBytes = 3 * sizeof(k::word_t);
+
+/// True iff Node keeps its search-hot words in its first kSearchHotBytes.
+/// A 32 B node starts on a 32 B boundary of its pool's arena, so it then
+/// reads one line per visit. Each tree asserts it next to its node type.
 template <typename Node>
 constexpr bool searchHotFirst() {
   return offsetof(Node, ver) < kSearchHotBytes &&
          offsetof(Node, key) < kSearchHotBytes &&
-         offsetof(Node, left) < kSearchHotBytes &&
-         offsetof(Node, right) < kSearchHotBytes;
+         offsetof(Node, kids) < kSearchHotBytes;
 }
 
 /// The Chain of a tree whose afterCommit climbs nothing (the BST): records
@@ -149,6 +173,8 @@ template <typename Derived, typename Node, typename K, typename V>
 class InternalTreeCore {
  public:
   static_assert(std::is_integral_v<K> && std::is_integral_v<V>);
+  static_assert(recl::NodePool<Node>::arenaSlots() <= kKidMask + 1,
+                "every slot index must fit its half of a kids word");
   /// Exposed for generic frontends (service/sharded_map.hpp).
   using KeyType = K;
   using ValueType = V;
@@ -163,7 +189,7 @@ class InternalTreeCore {
       : opt_(options), ebr_(ebr), pool_(pool ? *pool : recl::defaultPool<Node>()) {
     maxRoot_ = pool_.alloc(kPosInf, V{});
     minRoot_ = pool_.alloc(kNegInf, V{});
-    maxRoot_->left.setInitial(minRoot_);
+    maxRoot_->kids.setInitial(relink(0, false, minRoot_));
   }
 
   InternalTreeCore(const InternalTreeCore&) = delete;
@@ -225,8 +251,8 @@ class InternalTreeCore {
     const std::size_t base = out.size();
     for (;;) {
       start();
-      visit(minRoot_);  // pins the root pointer (minRoot_->right)
-      collectRange(minRoot_->right.load(), lo, hi, out);
+      visit(minRoot_);  // pins the root link (minRoot_'s right child)
+      collectRange(root(), lo, hi, out);
       if (vval()) return out.size() - base;
       out.resize(base);  // torn attempt: discard and re-traverse
     }
@@ -251,8 +277,8 @@ class InternalTreeCore {
     auto guard = ebr_.pin();
     const std::size_t base = out.size();
     start();
-    visit(minRoot_);  // pins the root pointer (minRoot_->right)
-    collectRange(minRoot_->right.load(), lo, hi, out);
+    visit(minRoot_);  // pins the root link (minRoot_'s right child)
+    collectRange(root(), lo, hi, out);
     domain().forEachStagedPath(cap);
     if (vval()) return true;
     out.resize(base);
@@ -278,9 +304,8 @@ class InternalTreeCore {
       }
       if (leaf == nullptr) leaf = pool_.alloc(key, val);
       const K parentKey = s.parent->key;
-      auto& ptrToChange =
-          (key < parentKey) ? s.parent->left : s.parent->right;
-      add(ptrToChange, static_cast<Node*>(nullptr), leaf);
+      add(s.parent->kids, s.parentKids,
+          relink(s.parentKids, key > parentKey, leaf));
       addVer(s.parent->ver, s.parentVer, verBump(s.parentVer));
       if (vex()) {
         self().afterCommit(chain);
@@ -304,16 +329,17 @@ class InternalTreeCore {
       if (isMarked(s.currVer) || isMarked(s.parentVer)) continue;
       Node* curr = s.curr;
       Node* parent = s.parent;
-      Node* const currLeft = curr->left;
-      Node* const currRight = curr->right;
+      const Kids currKids = curr->kids.load();
+      Node* const currLeft = childOf(currKids, false);
+      Node* const currRight = childOf(currKids, true);
 
       if (currLeft == nullptr || currRight == nullptr) {
         // Leaf or one-child deletion: splice the child (null for a leaf)
         // into curr's place, and mark curr.
         Node* childToKeep = (currLeft == nullptr) ? currRight : currLeft;
-        auto& ptrToChange =
-            (curr == parent->left.load()) ? parent->left : parent->right;
-        add(ptrToChange, curr, childToKeep);
+        add(parent->kids, s.parentKids,
+            relink(s.parentKids, isRightChild(s.parentKids, curr),
+                   childToKeep));
         addVer(parent->ver, s.parentVer, verBump(s.parentVer));
         addVer(curr->ver, s.currVer, verMark(s.currVer));
         if (execOrVex()) {
@@ -324,7 +350,7 @@ class InternalTreeCore {
       } else {
         // Two-child deletion: replace curr's key/value with its successor's,
         // then unlink the successor (which has no left child).
-        const Successor su = getSuccessor(curr, s.currVer, chain);
+        const Successor su = getSuccessor(curr, s.currVer, currKids, chain);
         if (su.succ == nullptr || isMarked(su.succVer) ||
             isMarked(su.succPVer)) {
           continue;
@@ -333,15 +359,13 @@ class InternalTreeCore {
         // reads, so a torn read can name curr its own successor; staging its
         // version twice is undefined. A BST node never moves down.
         if (Derived::kRotates && su.succ == curr) continue;
-        Node* const succR = su.succ->right;
+        Node* const succR = childOf(su.succKids, true);
         if (succR != nullptr) {
           const Version succRVer = visit(succR);
           if (isMarked(succRVer)) continue;
         }
-        auto& ptrToChange = (su.succP->right.load() == su.succ)
-                                ? su.succP->right
-                                : su.succP->left;
-        add(ptrToChange, su.succ, succR);
+        add(su.succP->kids, su.succPKids,
+            relink(su.succPKids, isRightChild(su.succPKids, su.succ), succR));
         const V currVal = curr->val;
         const V succVal = su.succ->val;
         add(curr->val, currVal, succVal);
@@ -431,34 +455,73 @@ class InternalTreeCore {
 
   /// In-order traversal (quiescent), for oracle comparison in tests.
   void forEach(const std::function<void(K, V)>& f) const {
-    forEachRec(minRoot_->right.load(), f);
+    forEachRec(root(), f);
   }
 
  protected:
   ~InternalTreeCore() {
     // Quiescent-teardown exception: no thread can be pinned on this tree
     // anymore, so reachable nodes go straight back to the pool (no EBR).
-    freeSubtree(minRoot_->right.load());
+    freeSubtree(root());
     pool_.destroy(minRoot_);
     pool_.destroy(maxRoot_);
   }
 
+  /// parentKids is the kids word the search read from parent, after
+  /// visiting it at parentVer (so staging an entry on it is checked by
+  /// both that entry and parentVer).
   struct SearchResult {
     bool found;
     Node* curr;
     Version currVer;
     Node* parent;
     Version parentVer;
+    Kids parentKids;
   };
+  /// Each kids word as read after its node's visit.
   struct Successor {
     Node* succ;
     Version succVer;
+    Kids succKids;
     Node* succP;
     Version succPVer;
+    Kids succPKids;
   };
 
   Derived& self() { return static_cast<Derived&>(*this); }
   const Derived& self() const { return static_cast<const Derived&>(*this); }
+
+  /// The child on side `right` (the right child if true) of a node whose
+  /// kids word is k.
+  Node* childOf(Kids k, bool right) const { return pool_.at(kid(k, right)); }
+
+  /// k with the child on side `right` replaced by c (null allowed).
+  Kids relink(Kids k, bool right, const Node* c) const {
+    return withKid(k, right, pool_.indexOf(c));
+  }
+
+  /// True iff c is the right child in k (c must be one of k's children).
+  bool isRightChild(Kids k, const Node* c) const {
+    return kid(k, true) == pool_.indexOf(c);
+  }
+
+  /// The root of the key tree: minRoot's right child.
+  Node* root() const { return childOf(minRoot_->kids.load(), true); }
+
+  /// Warm both children of n (PATHCAS_PREFETCH: a hint only). Like
+  /// pathcas::prefetch, it samples n's kids word with a raw relaxed load —
+  /// it may be mid-flight or immediately stale — and skips a word holding a
+  /// descriptor; traversals re-read the word after visiting n. A null child
+  /// prefetches slot 0 instead of taking a branch: near the leaves a null
+  /// test there mispredicts often, a measurable cost on cache-resident trees.
+  void prefetchKids(const Node* n) const {
+    const k::word_t raw = n->kids.addr()->load(std::memory_order_relaxed);
+    if (!k::isDescriptor(raw)) {
+      const Kids kids = k::decodeVal(raw);
+      PATHCAS_PREFETCH(pool_.slotAddress(kid(kids, false)));
+      PATHCAS_PREFETCH(pool_.slotAddress(kid(kids, true)));
+    }
+  }
 
   /// Algorithm 3: traditional BST search, visiting every node traversed.
   SearchResult search(K key) {
@@ -485,45 +548,53 @@ class InternalTreeCore {
     chain.clear();
     Node* parent = maxRoot_;
     Version parentVer = visit(parent);
+    Kids parentKids = 0;
     Node* curr = minRoot_;
     Version currVer = visit(curr);
     while (curr != nullptr) {
       const K currKey = curr->key;
-      if (key == currKey) return {true, curr, currVer, parent, parentVer};
+      if (key == currKey)
+        return {true, curr, currVer, parent, parentVer, parentKids};
       chain.push(curr);
-      Node* next = (key > currKey) ? curr->right.load() : curr->left.load();
+      const Kids kids = curr->kids.load();
       parent = curr;
       parentVer = currVer;
-      curr = next;
+      parentKids = kids;
+      curr = childOf(kids, key > currKey);
       if (curr != nullptr) {
         // Warm the likely-next level while visit() pays this node's
         // validation cost (PATHCAS_PREFETCH: hint only, re-read after).
-        prefetch(curr->left);
-        prefetch(curr->right);
+        prefetchKids(curr);
         currVer = visit(curr);
       }
     }
-    return {false, nullptr, 0, parent, parentVer};
+    return {false, nullptr, 0, parent, parentVer, parentKids};
   }
 
-  /// Algorithm 5: locate curr's successor, visiting the traversed nodes,
-  /// and extend `chain` from start to the successor's parent.
+  /// Algorithm 5: locate the successor of start (whose kids word, read
+  /// after visiting it at startVer, is startKids), visiting the traversed
+  /// nodes, and extend `chain` from start to the successor's parent.
   template <typename Chain>
-  Successor getSuccessor(Node* start, Version startVer, Chain& chain) {
+  Successor getSuccessor(Node* start, Version startVer, Kids startKids,
+                         Chain& chain) {
     Node* succP = start;
     Version succPVer = startVer;
-    Node* succ = start->right;
-    if (succ == nullptr) return {nullptr, 0, nullptr, 0};
+    Kids succPKids = startKids;
+    Node* succ = childOf(startKids, true);
+    if (succ == nullptr) return {nullptr, 0, 0, nullptr, 0, 0};
     chain.push(start);
     Version succVer = visit(succ);
     for (;;) {
-      Node* next = succ->left;
-      if (next == nullptr) return {succ, succVer, succP, succPVer};
+      const Kids succKids = succ->kids.load();
+      Node* next = childOf(succKids, false);
+      if (next == nullptr)
+        return {succ, succVer, succKids, succP, succPVer, succPKids};
       chain.push(succ);
       succP = succ;
       succPVer = succVer;
+      succPKids = succKids;
       succ = next;
-      prefetch(succ->left);
+      prefetchKids(succ);
       succVer = visit(next);
     }
   }
@@ -715,13 +786,14 @@ class InternalTreeCore {
   /// caller). The ops partition around node->key and recurse left and
   /// right, so ops sharing a path prefix share its visit()s. Bottom-up: a
   /// removed child reports its replacement through `fr`, and the parent
-  /// stages the slot swing plus its own single version bump, so no address
-  /// is staged twice. An insert match is a present key (outcome false). An
-  /// erase match is unlinked in-batch only when it has at most one child AND
-  /// none of its child slots were staged by this same chunk (otherwise the
-  /// swing would race the staged edit); the rest defer to per-op erase().
-  /// Keys partitioned into a null child slot are absent erases or new
-  /// inserts.
+  /// stages the relink plus its own single version bump, so no address is
+  /// staged twice: both partitions relink into one copy of node's kids
+  /// word, which takes one entry even when both of node's children change.
+  /// An insert match is a present key (outcome false). An erase match is
+  /// unlinked in-batch only when it has at most one child AND none of its
+  /// children were relinked by this same chunk (otherwise the splice would
+  /// race the staged edit); the rest defer to per-op erase(). Keys
+  /// partitioned into a null child slot are absent erases or new inserts.
   StageStatus stageBatchNode(Node* node, Version nodeVer, std::size_t lo,
                              std::size_t hi, BatchScratch& sc,
                              EraseFrame& fr) {
@@ -732,33 +804,29 @@ class InternalTreeCore {
     const bool matched = mid < hi && sc.keys[mid] == nodeKey;
     const std::size_t rlo = matched ? mid + 1 : mid;
     const bool eraseMatch = matched && !sc.insertOp(mid);
-    // Load only the child slots this node actually needs (both for an erase
-    // match — shape test and replacement — one per non-empty partition
-    // otherwise): the walk touches many pass-through nodes and a second
-    // slot load per node is a second cache miss per hop.
-    Node* const left = (eraseMatch || lo < mid) ? node->left.load() : nullptr;
-    Node* const right = (eraseMatch || rlo < hi) ? node->right.load() : nullptr;
+    const Kids kids = node->kids.load();
+    Node* const left = childOf(kids, false);
+    Node* const right = childOf(kids, true);
 #ifdef PATHCAS_TEST_HOOKS
     if (stallHook) stallHook(Stall::kBatchFrame, node);
 #endif
-    bool childStaged = false;
+    Kids relinked = kids;
     sc.chain.push(node);  // the children's ancestors end at node
     if (lo < mid) {
-      const StageStatus s =
-          stageBatchChild(node->left, left, lo, mid, sc, childStaged);
+      const StageStatus s = stageBatchChild(left, false, lo, mid, sc, relinked);
       if (s != StageStatus::kOk) return s;
     }
     if (rlo < hi) {
-      const StageStatus s =
-          stageBatchChild(node->right, right, rlo, hi, sc, childStaged);
+      const StageStatus s = stageBatchChild(right, true, rlo, hi, sc, relinked);
       if (s != StageStatus::kOk) return s;
     }
+    const bool childStaged = relinked != kids;
     if (eraseMatch) {
       if (childStaged || (left != nullptr && right != nullptr)) {
         sc.deferred.push_back(mid);
       } else {
         if (!stageBudgetLeft(*sc.dom, 2)) return StageStatus::kOverflow;
-        // Mark node; the parent frame swings its slot and bumps its own
+        // Mark node; the parent frame relinks it and bumps its own
         // version. Matches the per-op entry set exactly.
         addVer(node->ver, nodeVer, verMark(nodeVer));
         fr.removed = true;
@@ -769,18 +837,20 @@ class InternalTreeCore {
       }
     }
     if (childStaged) {
-      if (!stageBudgetLeft(*sc.dom)) return StageStatus::kOverflow;
+      if (!stageBudgetLeft(*sc.dom, 2)) return StageStatus::kOverflow;
+      add(node->kids, kids, relinked);
       addVer(node->ver, nodeVer, verBump(nodeVer));
     }
     return StageStatus::kOk;
   }
 
-  /// Stage ops [lo, hi) into a child slot `slot` of sc.chain's last node,
-  /// which held `child`. That node is the repair root of a change to the
-  /// slot.
-  StageStatus stageBatchChild(casword<Node*>& slot, Node* child,
-                              std::size_t lo, std::size_t hi, BatchScratch& sc,
-                              bool& childStaged) {
+  /// Stage ops [lo, hi) into the child on side `right` of sc.chain's last
+  /// node, which held `child`, and record a change of that child in
+  /// `relinked`, the node's kids word to be. That node is the repair root
+  /// of the change.
+  StageStatus stageBatchChild(Node* child, bool right, std::size_t lo,
+                              std::size_t hi, BatchScratch& sc,
+                              Kids& relinked) {
     if (child != nullptr) {
       if (!stageBudgetLeft(*sc.dom)) return StageStatus::kOverflow;
       const Version childVer = visit(child);
@@ -793,9 +863,8 @@ class InternalTreeCore {
       if (s != StageStatus::kOk) return s;
       sc.chain.resize(depth);
       if (cf.removed) {
-        add(slot, child, cf.repl);
+        relinked = relink(relinked, right, cf.repl);
         sc.chain.appendTo(sc.repair);
-        childStaged = true;
       }
       return StageStatus::kOk;
     }
@@ -809,8 +878,7 @@ class InternalTreeCore {
     Node* const sub = buildSubtree(sc, first, sc.staged.size());
     sc.built.push_back(sub);
     sc.chain.appendTo(sc.repair);
-    add(slot, static_cast<Node*>(nullptr), sub);
-    childStaged = true;
+    relinked = relink(relinked, right, sub);
     return StageStatus::kOk;
   }
 
@@ -821,16 +889,9 @@ class InternalTreeCore {
     const std::size_t mid = lo + (hi - lo) / 2;
     const std::size_t op = sc.staged[mid];
     Node* const n = pool_.alloc(sc.keys[op], sc.vals[op]);
-    Node* l = nullptr;
-    Node* r = nullptr;
-    if (lo < mid) {
-      l = buildSubtree(sc, lo, mid);
-      n->left.setInitial(l);
-    }
-    if (mid + 1 < hi) {
-      r = buildSubtree(sc, mid + 1, hi);
-      n->right.setInitial(r);
-    }
+    Node* const l = lo < mid ? buildSubtree(sc, lo, mid) : nullptr;
+    Node* const r = mid + 1 < hi ? buildSubtree(sc, mid + 1, hi) : nullptr;
+    n->kids.setInitial(relink(relink(0, false, l), true, r));
     Derived::adopt(n, l, r);
     return n;
   }
@@ -850,8 +911,9 @@ class InternalTreeCore {
       if (isMarked(nodeVer)) return StageStatus::kRetry;
       const K nodeKey = node->key;
       if (key == nodeKey) return StageStatus::kOk;  // present: outcome false
-      casword<Node*>& slot = key < nodeKey ? node->left : node->right;
-      Node* const child = slot.load();
+      const Kids kids = node->kids.load();
+      const bool right = key > nodeKey;
+      Node* const child = childOf(kids, right);
       sc.chain.push(node);
       if (child == nullptr) {
         if (!firstTouch(sc, node)) return StageStatus::kRetry;
@@ -860,40 +922,40 @@ class InternalTreeCore {
         sc.built.push_back(leaf);
         sc.staged.push_back(i);
         sc.chain.appendTo(sc.repair);
-        add(slot, static_cast<Node*>(nullptr), leaf);
+        add(node->kids, kids, relink(kids, right, leaf));
         addVer(node->ver, nodeVer, verBump(nodeVer));
         return StageStatus::kOk;
       }
       if (!stageBudgetLeft(dom)) return StageStatus::kOverflow;
-      prefetch(child->left);
-      prefetch(child->right);
+      prefetchKids(child);
       nodeVer = visit(child);
       node = child;
     }
   }
 
-  /// The erase counterpart, tracking (parent, parentVer) and sc.chain like
-  /// the per-op search. A match below the partition root stages the full per-op entry
-  /// set — mark, slot swing, parent bump — directly: the parent lies inside
-  /// this partition's subtree, which no other partition touches. A match AT
-  /// the partition root reports through `fr` instead, because the caller's
-  /// node owns that swing and may merge it with a bump for its other
-  /// partition (the usual bottom-up rule).
+  /// The erase counterpart, tracking (parent, parentVer, parentKids) and
+  /// sc.chain like the per-op search. A match below the partition root
+  /// stages the full per-op entry set — mark, relink, parent bump —
+  /// directly: the parent lies inside this partition's subtree, which no
+  /// other partition touches. A match AT the partition root reports through
+  /// `fr` instead, because the caller's node owns that relink and may merge
+  /// it with its other partition's (the usual bottom-up rule).
   StageStatus stageEraseOne(Node* node, Version nodeVer, std::size_t i,
                             BatchScratch& sc, EraseFrame& fr) {
     const K key = sc.keys[i];
     k::DefaultDomain& dom = *sc.dom;
     Node* parent = nullptr;
     Version parentVer = 0;
-    casword<Node*>* slot = nullptr;  // parent's slot holding `node`
+    Kids parentKids = 0;  // parent's kids word, which holds `node`
     for (;;) {
       if (isMarked(nodeVer)) return StageStatus::kRetry;
       const K nodeKey = node->key;
+      const Kids kids = node->kids.load();
       if (key == nodeKey) {
-        Node* const left = node->left.load();
-        Node* const right = node->right.load();
+        Node* const left = childOf(kids, false);
+        Node* const right = childOf(kids, true);
         if (left != nullptr && right != nullptr)
-          return self().stageEraseTwoChild(node, nodeVer, right, i, sc);
+          return self().stageEraseTwoChild(node, nodeVer, kids, i, sc);
         if (!firstTouch(sc, node) ||
             (parent != nullptr && !firstTouch(sc, parent))) {
           return StageStatus::kRetry;
@@ -907,7 +969,8 @@ class InternalTreeCore {
         } else {
           if (!stageBudgetLeft(dom, 3)) return StageStatus::kOverflow;
           addVer(node->ver, nodeVer, verMark(nodeVer));
-          add(*slot, node, repl);
+          add(parent->kids, parentKids,
+              relink(parentKids, isRightChild(parentKids, node), repl));
           addVer(parent->ver, parentVer, verBump(parentVer));
           sc.chain.appendTo(sc.repair);  // it ends at parent
         }
@@ -915,16 +978,14 @@ class InternalTreeCore {
         sc.staged.push_back(i);
         return StageStatus::kOk;
       }
-      casword<Node*>& next = key < nodeKey ? node->left : node->right;
-      Node* const child = next.load();
+      Node* const child = childOf(kids, key > nodeKey);
       if (child == nullptr) return StageStatus::kOk;  // absent: path witness
       if (!stageBudgetLeft(dom)) return StageStatus::kOverflow;
-      prefetch(child->left);
-      prefetch(child->right);
+      prefetchKids(child);
       sc.chain.push(node);
       parent = node;
       parentVer = nodeVer;
-      slot = &next;
+      parentKids = kids;
       nodeVer = visit(child);
       node = child;
     }
@@ -933,7 +994,7 @@ class InternalTreeCore {
   /// A two-child match in a singleton partition: runs per-op after the
   /// commit, unless the tree hides this with an in-batch shape (the BST's
   /// successor swap).
-  StageStatus stageEraseTwoChild(Node*, Version, Node*, std::size_t i,
+  StageStatus stageEraseTwoChild(Node*, Version, Kids, std::size_t i,
                                  BatchScratch& sc) {
     sc.deferred.push_back(i);
     return StageStatus::kOk;
@@ -957,9 +1018,10 @@ class InternalTreeCore {
     if (n == nullptr) return;
     visit(n);
     const K k = n->key.load();
-    if (k > lo) collectRange(n->left.load(), lo, hi, out);
+    const Kids kids = n->kids.load();
+    if (k > lo) collectRange(childOf(kids, false), lo, hi, out);
     if (k >= lo && k <= hi) out.emplace_back(k, n->val.load());
-    if (k < hi) collectRange(n->right.load(), lo, hi, out);
+    if (k < hi) collectRange(childOf(kids, true), lo, hi, out);
   }
 
   /// Walk the tree checking BST order, sentinel structure and that no
@@ -968,12 +1030,13 @@ class InternalTreeCore {
   /// statistics.
   template <typename Check>
   TreeStats walkInvariants(Check&& check) const {
-    PATHCAS_CHECK(maxRoot_->left.load() == minRoot_);
-    PATHCAS_CHECK(maxRoot_->right.load() == nullptr);
-    PATHCAS_CHECK(minRoot_->left.load() == nullptr);
+    const Kids maxKids = maxRoot_->kids.load();
+    PATHCAS_CHECK(childOf(maxKids, false) == minRoot_);
+    PATHCAS_CHECK(childOf(maxKids, true) == nullptr);
+    PATHCAS_CHECK(childOf(minRoot_->kids.load(), false) == nullptr);
     TreeStats stats;
     WalkSums sums;
-    walk(minRoot_->right.load(), kNegInf, kPosInf, 1, stats, sums, check);
+    walk(root(), kNegInf, kPosInf, 1, stats, sums, check);
     if (stats.size) {
       stats.avgKeyDepth = static_cast<double>(sums.depth) / stats.size;
       stats.hotLinesPerNode =
@@ -988,16 +1051,16 @@ class InternalTreeCore {
     std::uint64_t hotLines = 0;
   };
 
-  /// 64 B lines spanned by n's words from ver through right.
+  /// 64 B lines spanned by n's words from ver through kids.
   static std::uint64_t hotLines(const Node* n) {
     const auto first = reinterpret_cast<std::uintptr_t>(n->ver.addr());
-    const auto last = reinterpret_cast<std::uintptr_t>(n->right.addr() + 1) - 1;
+    const auto last = reinterpret_cast<std::uintptr_t>(n->kids.addr() + 1) - 1;
     return last / kCacheLine - first / kCacheLine + 1;
   }
 
   template <typename Check>
-  static void walk(Node* n, K lo, K hi, std::uint64_t depth,
-                   TreeStats& stats, WalkSums& sums, Check& check) {
+  void walk(Node* n, K lo, K hi, std::uint64_t depth, TreeStats& stats,
+            WalkSums& sums, Check& check) const {
     if (n == nullptr) return;
     const K k = n->key.load();
     PATHCAS_CHECK(k > lo && k < hi);
@@ -1009,21 +1072,24 @@ class InternalTreeCore {
     sums.depth += depth;
     sums.hotLines += hotLines(n);
     stats.height = std::max(stats.height, depth);
-    walk(n->left.load(), lo, k, depth + 1, stats, sums, check);
-    walk(n->right.load(), k, hi, depth + 1, stats, sums, check);
+    const Kids kids = n->kids.load();
+    walk(childOf(kids, false), lo, k, depth + 1, stats, sums, check);
+    walk(childOf(kids, true), k, hi, depth + 1, stats, sums, check);
   }
 
-  static void forEachRec(Node* n, const std::function<void(K, V)>& f) {
+  void forEachRec(Node* n, const std::function<void(K, V)>& f) const {
     if (n == nullptr) return;
-    forEachRec(n->left.load(), f);
+    const Kids kids = n->kids.load();
+    forEachRec(childOf(kids, false), f);
     f(n->key.load(), n->val.load());
-    forEachRec(n->right.load(), f);
+    forEachRec(childOf(kids, true), f);
   }
 
   void freeSubtree(Node* n) {
     if (n == nullptr) return;
-    freeSubtree(n->left.load());
-    freeSubtree(n->right.load());
+    const Kids kids = n->kids.load();
+    freeSubtree(childOf(kids, false));
+    freeSubtree(childOf(kids, true));
     pool_.destroy(n);
   }
 

@@ -18,6 +18,7 @@
 #include <memory>
 #include <set>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -302,6 +303,51 @@ TEST(BatchOps, MixedRunTwoChildAndDeferredErase) {
   {
     SCOPED_TRACE("int-avl-pathcas");
     runMixedRunTwoChildAndDeferredErase<Avl>();
+  }
+}
+
+// One frame whose two partitions both relink it: on {50, 30}, erasing 30
+// and inserting 70 change both children of 50. Both relinks go into 50's
+// one kids word, so the frame stages them as one entry (two entries would
+// stage one address twice, which Debug builds abort on), and the chunk
+// commits at its first attempt: the batch walk reaches 50's frame once.
+template <typename Tree>
+void runBothChildrenRelinkedInOneFrame() {
+  Tree t;
+  for (std::int64_t k : {50, 30}) ASSERT_TRUE(t.insert(k, k));
+  int framesAt50 = 0;
+  Tree::stallHook = [&](typename Tree::Stall point,
+                        const typename Tree::Node* n) {
+    if (point == Tree::Stall::kBatchFrame && n->key.load() == 50)
+      ++framesAt50;
+  };
+  const std::int64_t keys[] = {30, 70};
+  const bool flags[] = {false, true};
+  bool out[2];
+  const std::size_t applied = t.updateBatch(keys, keys, flags, 2, out);
+  Tree::stallHook = nullptr;
+  EXPECT_EQ(applied, 2u);
+  EXPECT_TRUE(out[0]);  // 30 erased
+  EXPECT_TRUE(out[1]);  // 70 inserted
+  EXPECT_EQ(framesAt50, 1);
+  if constexpr (std::is_same_v<Tree, Avl>) {
+    t.checkInvariants(/*requireStrictBalance=*/true);
+  } else {
+    t.checkInvariants();
+  }
+  std::vector<std::int64_t> keysAfter;
+  t.forEach([&](std::int64_t k, std::int64_t) { keysAfter.push_back(k); });
+  EXPECT_EQ(keysAfter, (std::vector<std::int64_t>{50, 70}));
+}
+
+TEST(BatchOps, BothChildrenRelinkedInOneFrame) {
+  {
+    SCOPED_TRACE("int-bst-pathcas");
+    runBothChildrenRelinkedInOneFrame<Bst>();
+  }
+  {
+    SCOPED_TRACE("int-avl-pathcas");
+    runBothChildrenRelinkedInOneFrame<Avl>();
   }
 }
 

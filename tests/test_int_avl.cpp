@@ -204,21 +204,20 @@ TEST(IntAvlVersionDeathTest, HeightAbove255Aborts) {
 }
 #endif
 
-// The AVL node is the BST's size (40 B): a fresh pool carves slots back to
-// back at a 40 B stride from a slab aligned to 64 KiB, so slot offsets
-// repeat 0, 40, 16, 56, 32, 8, 48, 24 within their lines, and the slots at
-// 40, 56 and 48 spread their 32 search-hot bytes over two lines. The 1024
-// nodes after the two sentinels are 128 whole periods of 8 slots, all in
-// the first slab.
-TEST(IntAvlLayout, SearchHotWordsCrossALineInThreeSlotsOfEight) {
+// The AVL node is the BST's size (32 B): a pool carves slots back to back
+// at a 32 B stride from a huge-page aligned arena, so every node starts at
+// offset 0 or 32 of its line and its 24 search-hot bytes (ver, key, kids)
+// never cross a line: one line per visited node. (At the old 40 B stride,
+// 3 slots in 8 crossed: 1.375.)
+TEST(IntAvlLayout, SearchHotWordsStayInOneLine) {
   recl::NodePool<Avl::Node> pool;
   Avl t(IntBstOptions{}, recl::EbrDomain::instance(), &pool);
   constexpr std::int64_t kN = 1024;
   for (std::int64_t i = 0; i < kN; ++i) ASSERT_TRUE(t.insert(i * 617 % kN, i));
   const TreeStats s = t.checkInvariants();
   EXPECT_EQ(s.nodeCount, static_cast<std::uint64_t>(kN));
-  EXPECT_EQ(recl::NodePool<Avl::Node>::slotSize(), 40u);
-  EXPECT_DOUBLE_EQ(s.hotLinesPerNode, 1.375);
+  EXPECT_EQ(recl::NodePool<Avl::Node>::slotSize(), 32u);
+  EXPECT_DOUBLE_EQ(s.hotLinesPerNode, 1.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 // Tests for the type-segregated node pool (recl/pool.hpp) and its
 // integration with EBR: single-thread reuse semantics, cross-thread
 // retire→recycle flow, spill/refill between local caches and global shards,
-// stats accounting, drain under quiescence, the slab layout of fresh slots
-// (dense stride, huge-page alignment, bounded slack), and a multi-threaded
-// insert/erase churn test asserting retired-node memory is recycled (not
-// leaked) over many EBR epochs.
+// stats accounting, drain under quiescence, the arena layout of fresh slots
+// (index order from a huge-page-aligned base, bounded slack), and a
+// multi-threaded insert/erase churn test asserting retired-node memory is
+// recycled (not leaked) over many EBR epochs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -25,7 +25,7 @@ namespace {
 struct TestNode {
   std::uint64_t a;
   std::uint64_t b;
-  std::uint64_t pad[3];  // BST-node-sized
+  std::uint64_t pad[3];  // 40 B: a slot stride that is not a power of two
   TestNode(std::uint64_t x, std::uint64_t y) : a(x), b(y), pad{} {}
 };
 
@@ -178,47 +178,45 @@ TEST(Pool, DrainUnderQuiescenceReleasesAllFreeMemory) {
   pool.destroy(n);
 }
 
-// Fresh slots are carved back to back from slabs: one thread's consecutive
-// fresh allocations sit exactly slotSize() apart. With no other thread
-// cutting runs from the same slab, one run starts where the last ended, so
-// the stride breaks only where a new slab begins — and every slab of the
-// largest size begins on a huge-page boundary.
-TEST(PoolSlabs, FreshSlotsAreDenseAndHugeSlabsAligned) {
+// Fresh slots come from one arena in index order: the arena's base (slot
+// 0's address) is huge-page aligned, one thread's fresh allocations are
+// at(1), at(2), ... with no gap where a new slab is committed, and slot 0
+// is never handed out, so index 0 can mean null. A drain decommits the
+// arena but keeps its base, so the next fresh slot is at(1) again.
+TEST(PoolArena, FreshSlotsFollowTheIndicesOfOneAlignedArena) {
   NodePool<TestNode> pool;
   constexpr std::size_t kSlot = NodePool<TestNode>::slotSize();
   static_assert(kSlot == sizeof(TestNode), "slots carry no padding");
-  // The doubling slabs (64 KiB ... 1 MiB) fill about one 2 MiB slab's worth;
-  // this many slots runs well into the third 2 MiB slab.
-  const std::size_t n = 4 * kSlabMaxBytes / kSlot;
-  std::uintptr_t prev = 0;
-  std::uint64_t slabBytes = 0;
-  std::size_t breaks = 0, slabs = 0, hugeSlabs = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto addr = reinterpret_cast<std::uintptr_t>(pool.alloc(i, 0));
-    if (i > 0 && addr == prev + kSlot) {
-      prev = addr;
-      continue;
-    }
-    if (i > 0) ++breaks;
-    // Only here can the allocation have opened a slab; if it did, it
-    // returned that slab's first slot.
-    const std::uint64_t now = pool.stats().slabBytes;
-    if (now != slabBytes) {
-      ++slabs;
-      if (now - slabBytes == kSlabMaxBytes) {
-        ++hugeSlabs;
-        EXPECT_EQ(addr % kSlabMaxBytes, 0u) << "2 MiB slab #" << hugeSlabs;
-      }
-      slabBytes = now;
-    }
-    prev = addr;
+  EXPECT_EQ(pool.at(0), nullptr);
+  EXPECT_EQ(pool.indexOf(nullptr), 0u);
+  const auto base = reinterpret_cast<std::uintptr_t>(pool.at(1)) - kSlot;
+  EXPECT_EQ(base % kSlabMaxBytes, 0u);
+  // The doubling slabs (64 KiB ... 1 MiB) commit the first 2 MiB; this many
+  // slots runs well into the fourth 2 MiB slab.
+  const auto n = static_cast<std::uint32_t>(4 * kSlabMaxBytes / kSlot);
+  std::vector<TestNode*> nodes;
+  std::size_t offIndex = 0, badIndexOf = 0;
+  for (std::uint32_t i = 1; i <= n; ++i) {
+    TestNode* const p = pool.alloc(i, 0);
+    nodes.push_back(p);
+    if (p != pool.at(i)) ++offIndex;
+    if (pool.indexOf(p) != i || pool.indexOf(pool.at(i)) != i) ++badIndexOf;
   }
-  EXPECT_EQ(breaks + 1, slabs);  // every break is a slab boundary
-  EXPECT_GE(hugeSlabs, 2u);
-  EXPECT_EQ(pool.stats().fresh, n);
-  EXPECT_EQ(pool.footprintBytes(), n * kSlot);
-  EXPECT_EQ(slabBytes, pool.stats().slabBytes);
-  EXPECT_LE(slabBytes - pool.footprintBytes(), kSlabMaxBytes);
+  EXPECT_EQ(offIndex, 0u);
+  EXPECT_EQ(badIndexOf, 0u);
+  const PoolStats s = pool.stats();
+  EXPECT_EQ(s.fresh, n);
+  EXPECT_EQ(pool.footprintBytes(), std::uint64_t{n} * kSlot);
+  // Committed: slot 0, the slots handed out, and less than a slab more.
+  EXPECT_GE(s.slabBytes, std::uint64_t{n + 1} * kSlot);
+  EXPECT_LT(s.slabBytes - std::uint64_t{n + 1} * kSlot, kSlabMaxBytes);
+  for (TestNode* p : nodes) pool.destroy(p);
+  pool.drainQuiescent();
+  EXPECT_EQ(pool.stats().slabBytes, 0u);
+  TestNode* const again = pool.alloc(7, 8);
+  EXPECT_EQ(again, pool.at(1));
+  EXPECT_EQ(again->a, 7u);
+  pool.destroy(again);
 }
 
 // A slab cannot be released while any slot in it is in use, so a drain with
