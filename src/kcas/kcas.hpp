@@ -31,6 +31,12 @@
 //    publication only needs the release edges the protocol consumes; the
 //    justification for each ordering sits next to it below.
 //
+//  * One staging rule (selfInconsistent). execute() fails an op that names
+//    one address two ways, before it publishes anything: two entries on
+//    one address, or a path slot that disagrees with the op's own entry on
+//    its word. Such an op comes from a torn view, which means another op
+//    succeeded, so failing it keeps property P1.
+//
 //  * Hot/cold layout and allocation-free staging. KcasDesc and the
 //    owner-private Staging keep their first kInline (8) entry/path slots in
 //    a packed header, with the MCMS-sized remainder in a cold overflow
@@ -111,6 +117,7 @@ class KcasDomain {
     st.numEntries = 0;
     st.numPath = 0;
     st.sorted = true;
+    st.namedTwice = false;
     tlsBegun_ = &st;
   }
 
@@ -159,7 +166,9 @@ class KcasDomain {
   /// real entry, e.g. a visited parent whose version is being incremented,
   /// and duplicate visits of the same node — the first observation wins),
   /// then clear the path. The subsequent execute(false) locks the
-  /// versions instead of validating them.
+  /// versions instead of validating them. A visit that expects another
+  /// value than the real entry on its word makes execute() refuse the op,
+  /// as an unpromoted path slot would (selfInconsistent).
   ///
   /// Implementation is a sorted merge: sort a copy of the path by (address,
   /// visit order), keep the first slot of each address, and merge it with
@@ -186,10 +195,13 @@ class KcasDomain {
     StagedEntry merged[MaxEntries];
     int out = 0, ei = 0;
     for (int i = 0; i < np; ++i) {
-      if (i > 0 && visits[i].addr == visits[i - 1].addr) continue;  // revisit
       while (ei < n && st.entry(ei).addr < visits[i].addr)
         merged[out++] = st.entry(ei++);
-      if (ei < n && st.entry(ei).addr == visits[i].addr) continue;  // real entry
+      if (ei < n && st.entry(ei).addr == visits[i].addr) {  // real entry
+        if (st.entry(ei).oldEnc != visits[i].expectedEnc) st.namedTwice = true;
+        continue;
+      }
+      if (i > 0 && visits[i].addr == visits[i - 1].addr) continue;  // revisit
       PATHCAS_CHECK(out < MaxEntries - (n - ei));
       merged[out++] = StagedEntry{visits[i].addr, visits[i].expectedEnc,
                                   visits[i].expectedEnc,
@@ -234,8 +246,9 @@ class KcasDomain {
 
   /// Iterate the staged operation (HTM fast path). f(addr, old, new, isVer).
   /// Entries come in staging order, which is address order up to kInline
-  /// entries and after execute() or promotePathToEntries(); the fast path's
-  /// write passes are insensitive to it.
+  /// entries and after stagedSelfInconsistent(), execute() or
+  /// promotePathToEntries(); the fast path's write passes are insensitive
+  /// to it.
   template <typename F>
   void forEachStagedEntry(F&& f) {
     Staging& st = *slots().st;
@@ -258,6 +271,14 @@ class KcasDomain {
   /// validate()). May fail spuriously when a visited node is locked by
   /// another in-flight operation.
   bool validateStaged() { return validateStagedOn(*slots().st); }
+
+  /// True iff the staged op names one address two ways (selfInconsistent),
+  /// counting the path only with validation. execute() refuses such an op;
+  /// the HTM fast path, which would write both entries, asks first.
+  bool stagedSelfInconsistent(bool withValidation) {
+    Staging& st = *slots().st;
+    return selfInconsistent(st, withValidation ? st.numPath : 0);
+  }
 
   // ----------------------------------------------------------------------
   // Execution.
@@ -284,6 +305,8 @@ class KcasDomain {
       return validateStagedOn(st) ? ExecResult::kSucceeded
                                   : ExecResult::kFailedValidation;
     }
+    if (PATHCAS_UNLIKELY(selfInconsistent(st, nPath)))
+      return ExecResult::kFailedValue;
     if (st.numEntries == 1) {
       if (nPath == 0) return execK1(st);
       if (nPath == 1) {
@@ -295,11 +318,10 @@ class KcasDomain {
 
     KcasDesc& des = *s.des;
 
-    // Entries must be address-sorted before publication: the lock-freedom
+    // Entries are address-sorted before publication: the lock-freedom
     // argument (appendix C) relies on every helper locking addresses in one
     // global order. Ops within the inline slots were kept sorted at
-    // addEntry time; wider ops are sorted here, once.
-    if (!st.sorted) sortEntries(st);
+    // addEntry time; selfInconsistent sorted wider ops, once.
 
     // Reuse protocol (Arbel-Raviv & Brown): advance seqState FIRST — any
     // helper of the previous operation that later reads a freshly written
@@ -464,6 +486,9 @@ class KcasDomain {
     std::int32_t numEntries = 0;
     std::int32_t numPath = 0;
     bool sorted = true;
+    /// Some address was named two ways: a second entry on it, or a
+    /// promoted visit that disagrees with its entry (selfInconsistent).
+    bool namedTwice = false;
     StagedEntry hotEntries[kInline];
     StagedPath hotPath[kInline];
     StagedEntry coldEntries[kColdEntries];
@@ -561,26 +586,23 @@ class KcasDomain {
                     bool isVersionWord) {
     Staging& st = *slots().st;
     PATHCAS_CHECK(st.numEntries < MaxEntries);
-#ifndef NDEBUG
-    for (int i = 0; i < st.numEntries; ++i)
-      PATHCAS_DCHECK(st.entry(i).addr != addr &&
-                     "address added twice (undefined per the paper)");
-#endif
     const StagedEntry e{addr, oldEnc, newEnc, isVersionWord};
     if (st.numEntries >= kInline) {
       st.entry(st.numEntries++) = e;
       st.sorted = false;
       return;
     }
-    // Below kInline entries every entry is hot and the array is sorted.
+    // Below kInline entries every entry is hot and the array is sorted, so
+    // an entry already on addr is the one the insert stops below.
     int pos = st.numEntries++;
     for (; pos > 0 && addr < st.hotEntries[pos - 1].addr; --pos)
       st.hotEntries[pos] = st.hotEntries[pos - 1];
+    if (pos > 0 && st.hotEntries[pos - 1].addr == addr) st.namedTwice = true;
     st.hotEntries[pos] = e;
   }
 
-  /// Sort the staged entries by address. The hot/cold split is not
-  /// contiguous, so sort a flat copy and write it back.
+  /// Sort the staged entries by address, noting a repeated address. The
+  /// hot/cold split is not contiguous, so sort a flat copy and write it back.
   static void sortEntries(Staging& st) {
     StagedEntry tmp[MaxEntries];
     const int n = st.numEntries;
@@ -588,9 +610,83 @@ class KcasDomain {
     std::sort(tmp, tmp + n, [](const StagedEntry& a, const StagedEntry& b) {
       return a.addr < b.addr;
     });
-    for (int i = 0; i < n; ++i) st.entry(i) = tmp[i];
+    for (int i = 0; i < n; ++i) {
+      st.entry(i) = tmp[i];
+      if (i > 0 && tmp[i].addr == tmp[i - 1].addr) st.namedTwice = true;
+    }
     st.sorted = true;
   }
+
+  /// True iff the op names one address two ways: two entries on it, or one
+  /// of the first nPath path slots expects another value than the op's own
+  /// entry on its word. Phase 1 and validateDesc accept the op's own lock,
+  /// so either would leave an observation unchecked; the owner refuses the
+  /// op before publishing it instead. Sorts the entries (a repeat is then
+  /// adjacent).
+  static bool selfInconsistent(Staging& st, int nPath) {
+    if (st.numEntries == 0) return false;
+    if (!st.sorted) sortEntries(st);
+    if (PATHCAS_UNLIKELY(st.namedTwice)) {
+#ifndef NDEBUG
+      checkRepeatIsTorn(st);
+#endif
+      return true;
+    }
+    // A one-word filter of the entries' addresses rules out most path
+    // slots with one well-predicted branch before any lookup (an address
+    // range test mispredicts on path slots scattered around the entries).
+    std::uint64_t filter = 0;
+    for (int i = 0; i < st.numEntries; ++i)
+      filter |= addrBit(st.entry(i).addr);
+    for (int i = 0; i < nPath; ++i) {
+      const StagedPath& p = st.pathAt(i);
+      if ((filter & addrBit(p.addr)) == 0) continue;
+      const StagedEntry* e = entryOn(st, p.addr);
+      if (e != nullptr && e->oldEnc != p.expectedEnc) return true;
+    }
+    return false;
+  }
+
+  /// One of 64 bits, by a Fibonacci hash of the address.
+  static std::uint64_t addrBit(const AtomicWord* a) {
+    const auto h = reinterpret_cast<std::uintptr_t>(a) * 0x9E3779B97F4A7C15ull;
+    return std::uint64_t{1} << (h >> 58);
+  }
+
+  /// The staged entry on addr, or null. Entries are sorted: scan the hot
+  /// slots, or binary-search for the last entry at or below addr.
+  static const StagedEntry* entryOn(Staging& st, const AtomicWord* addr) {
+    int lo = 0, hi = st.numEntries;
+    if (hi > kInline) {
+      while (hi - lo > 1) {
+        const int mid = (lo + hi) / 2;
+        (st.entry(mid).addr <= addr ? lo : hi) = mid;
+      }
+    }
+    for (int i = lo; i < hi; ++i)
+      if (st.entry(i).addr == addr) return &st.entry(i);
+    return nullptr;
+  }
+
+#ifndef NDEBUG
+  /// A repeat whose observations all still hold (the path validates, every
+  /// entry's old value is in its word) came from no race but from a caller
+  /// that stages one address twice in a consistent view, which every retry
+  /// would repeat. Abort, naming the address.
+  static void checkRepeatIsTorn(Staging& st) {
+    if (!validateStagedOn(st)) return;
+    const AtomicWord* repeat = nullptr;
+    for (int i = 0; i < st.numEntries; ++i) {
+      if (loadRaw(st.entry(i).addr) != st.entry(i).oldEnc) return;
+      if (i > 0 && st.entry(i - 1).addr == st.entry(i).addr)
+        repeat = st.entry(i).addr;
+    }
+    if (repeat != nullptr)
+      std::fprintf(stderr, "KCAS: address %p staged twice\n",
+                   static_cast<const void*>(repeat));
+    PATHCAS_DCHECK(repeat == nullptr && "a repeat no race explains");
+  }
+#endif
 
   static bool validateStagedOn(Staging& st) {
     for (int i = 0; i < st.numPath; ++i) {
@@ -651,8 +747,8 @@ class KcasDomain {
     const StagedPath& p = st.pathAt(0);
     if (p.addr == e.addr) {
       // A path slot aliasing the single entry is subsumed by the entry CAS:
-      // the general path locks the word and Algorithm 2 accepts its own
-      // lock, so the entry's old-value check is the only constraint.
+      // execute() refused the op unless the slot expects the entry's old
+      // value, so the entry's old-value check covers both.
       r = execK1(st);
       return true;
     }
@@ -870,7 +966,9 @@ class KcasDomain {
   }
 
   /// Algorithm 2. Raw (non-helping) reads: our own lock on a version word
-  /// reads as `ref` and passes; any other descriptor fails validation.
+  /// reads as `ref` and passes; any other descriptor fails validation. The
+  /// owner refused the op unless such a slot expects the value its entry
+  /// locked (selfInconsistent), so the lock vouches for the slot too.
   bool validateDesc(KcasDesc& des, std::uint64_t seq, word_t ref,
                     std::uint32_t np) {
     for (std::uint32_t i = 0; i < np; ++i) {

@@ -174,9 +174,13 @@ namespace detail_exec {
 
 /// Shared execution core. fast=true adds the HTM fast path in front and
 /// serializes the software fallback on the htm global lock (required for the
-/// emulated backend; harmless with real RTM).
+/// emulated backend; harmless with real RTM). An op that names one address
+/// two ways fails before any transaction, as execute() refuses it: the
+/// transaction would write both entries of a repeated address.
 inline k::ExecResult executeOnce(bool withValidation, bool fast) {
   if (fast) {
+    if (domain().stagedSelfInconsistent(withValidation))
+      return k::ExecResult::kFailedValue;
     for (int tries = 0; tries < policy::kHtmRetries; ++tries) {
       const htm::Abort a = fastpath::attempt(withValidation);
       if (a == htm::Abort::kNone) return k::ExecResult::kSucceeded;

@@ -114,7 +114,7 @@ class DynConnPathCas {
     auto guard = ebr_.pin();
     if (v == w) return true;
     for (;;) {
-      beginAttempt();
+      start();
       ListNode* const mv = walkToMin(self(v));
       ListNode* const mw = walkToMin(self(w));
       if (validate()) return mv == mw;
@@ -127,7 +127,7 @@ class DynConnPathCas {
     PATHCAS_CHECK(v != w);
     auto guard = ebr_.pin();
     for (;;) {
-      beginAttempt();
+      start();
       Splice sv, sw;
       surveyTour(self(v), sv);
       surveyTour(self(w), sw);
@@ -151,12 +151,6 @@ class DynConnPathCas {
         segs[nsegs++] = {sw.afterSelfHead, sw.afterSelfTail};
       segs[nsegs++] = {sw.beforeSelfHead, sw.selfNode};  // L3w
       segs[nsegs++] = {wv, wv};
-      if (!stitchDistinct(sv.smin, segs, nsegs, sw.smax)) {
-        // Torn survey; nothing was staged, the fresh nodes never escaped.
-        listPool_.destroy(vw);
-        listPool_.destroy(wv);
-        continue;
-      }
       stitch(sv.smin, segs, nsegs, sw.smax);
       // Drop the two interior sentinels.
       markNode(sv.smax);
@@ -193,7 +187,7 @@ class DynConnPathCas {
     PATHCAS_CHECK(v != w);
     auto guard = ebr_.pin();
     for (;;) {
-      beginAttempt();
+      start();
       // Locate the edge in v's adjacency list (visiting entries).
       AdjFind fv = findAdj(v, w);
       if (fv.node == nullptr) {
@@ -215,7 +209,7 @@ class DynConnPathCas {
       for (;;) {
         ListNode* nx = cur->next;
         if (nx == nullptr) break;
-        visitTour(nx);
+        visit(nx);
         if (nx == vwNode || nx == wvNode) {
           (first == nullptr ? first : second) = nx;
         }
@@ -231,9 +225,6 @@ class DynConnPathCas {
       ListNode* const l3head = second->next;
       PATHCAS_DCHECK(l2head != second &&
                      "the far endpoint's self edge always sits between");
-      // A torn survey can name one node at both splice points, which would
-      // stage its next (or prev) word twice: retry instead.
-      if (l1tail == l2tail || l2head == l3head) continue;
 
       // Detached tour: wrap L2 in fresh sentinels.
       auto* s3 = listPool_.alloc(kSentinel, v);
@@ -321,27 +312,14 @@ class DynConnPathCas {
   Vertex& vertex(int v) { return vertices_[static_cast<std::size_t>(v)]; }
   ListNode* self(int v) { return vertex(v).self; }
 
-  /// start() for one attempt of an operation: also forgets the versions
-  /// visitTour() recorded for the previous attempt.
-  static void beginAttempt() {
-    start();
-    visitedScratch().clear();
-  }
-
-  /// visit() for tour nodes, also recording the version observed, so that
-  /// flushBumps() stages each bump against it.
-  static void visitTour(ListNode* n) {
-    visitedScratch().push_back({n, visit(n)});
-  }
-
   /// Walk prev pointers to the minimum sentinel, visiting every node.
   ListNode* walkToMin(ListNode* from) {
     ListNode* cur = from;
-    visitTour(cur);
+    visit(cur);
     for (;;) {
       ListNode* p = cur->prev;
       if (p == nullptr) return cur;
-      visitTour(p);
+      visit(p);
       cur = p;
     }
   }
@@ -355,11 +333,11 @@ class DynConnPathCas {
     // Forward from self to the max sentinel.
     ListNode* cur = selfNode;
     ListNode* firstAfter = cur->next;
-    visitTour(firstAfter);
+    visit(firstAfter);
     cur = firstAfter;
     while (cur->next.load() != nullptr) {
       ListNode* nx = cur->next;
-      visitTour(nx);
+      visit(nx);
       cur = nx;
     }
     out.smax = cur;
@@ -387,14 +365,6 @@ class DynConnPathCas {
     static thread_local std::vector<ListNode*> f;
     return f;
   }
-  struct Visited {
-    ListNode* node;
-    Version ver;
-  };
-  static std::vector<Visited>& visitedScratch() {
-    static thread_local std::vector<Visited> v;
-    return v;
-  }
 
   static void beginStaging(std::initializer_list<ListNode*> freshNodes) {
     bumpScratch().clear();
@@ -415,29 +385,19 @@ class DynConnPathCas {
     }
     bumpScratch().push_back({n, mark});
   }
-  /// Emit one version entry per touched node, expecting the version first
-  /// observed when the node was visited. It must be that one, not a fresh
-  /// load: vexec does not validate a visited version word that the operation
-  /// itself locks as an entry (kcas.hpp validateDesc), so the entry's old
-  /// value is the only check that the node is unchanged since this
-  /// operation read its links. A node the traversal did not visit can only
-  /// come from a torn survey, which a visited version rejects.
+  /// Emit one version entry per touched node, expecting its current
+  /// version. The KCAS refuses the op if the survey visited the node at
+  /// another version, so the entry also checks that the node is unchanged
+  /// since this operation read its links.
   void flushBumps() {
     for (const auto& b : bumpScratch()) {
-      const Version ver = visitedVersion(b.node);
+      const Version ver = b.node->ver.load();
       if (isMarked(ver)) {  // already deleted: poison the op so vexec fails
         addVer(b.node->ver, ver + 2, ver);
         continue;
       }
       addVer(b.node->ver, ver, b.mark ? verMark(ver) : verBump(ver));
     }
-  }
-
-  static Version visitedVersion(ListNode* n) {
-    for (const auto& v : visitedScratch()) {
-      if (v.node == n) return v.ver;
-    }
-    return n->ver.load();
   }
 
   /// Stage a->next = b and b->prev = a (with old values read now).
@@ -448,7 +408,9 @@ class DynConnPathCas {
     bumpNode(b);
   }
 
-  /// Stitch head -> segs[0] -> ... -> segs[n-1] -> tailSentinel.
+  /// Stitch head -> segs[0] -> ... -> segs[n-1] -> tailSentinel. A torn
+  /// survey can name one node in two roles, which stages its next (or prev)
+  /// word twice; the KCAS refuses that op, and the caller retries.
   void stitch(ListNode* head, const Seg* segs, int n, ListNode* tailSent) {
     ListNode* prev = head;
     for (int i = 0; i < n; ++i) {
@@ -456,23 +418,6 @@ class DynConnPathCas {
       prev = segs[i].tail;
     }
     stageNeighbors(prev, tailSent);
-  }
-
-  /// True iff stitch() would stage each next and prev word once: no node
-  /// ends two segments (or is also `head`), and none starts two (or is also
-  /// `tailSent`). A survey's reads are not one snapshot, so a torn survey
-  /// can name one node in two roles; an address staged twice is undefined
-  /// (the second old value goes unchecked), so such an attempt retries.
-  static bool stitchDistinct(ListNode* head, const Seg* segs, int n,
-                             ListNode* tailSent) {
-    for (int i = 0; i < n; ++i) {
-      if (segs[i].tail == head || segs[i].head == tailSent) return false;
-      for (int j = i + 1; j < n; ++j) {
-        if (segs[i].tail == segs[j].tail || segs[i].head == segs[j].head)
-          return false;
-      }
-    }
-    return true;
   }
 
   /// Like linkPair but tolerates brand-new (unpublished) nodes, whose

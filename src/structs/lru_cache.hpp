@@ -396,8 +396,8 @@ class LruTtlCache {
     Version predVer = 0;
   };
 
-  /// Address-deduplicating version-bump collector. Staging one word twice is
-  /// undefined for the KCAS, and composite neighborhoods overlap (the
+  /// Address-deduplicating version-bump collector. The KCAS refuses an op
+  /// that stages one word twice, and composite neighborhoods overlap (the
   /// victim's chain predecessor may also be a recency neighbor; both keys
   /// may share a bucket). The FIRST observed version per word wins — if a
   /// later observation disagreed, validation fails the commit anyway.

@@ -23,7 +23,7 @@
 // (the secondary is a bijection's inverse, and tests rely on it). There is
 // deliberately no in-place "update value" op: it would erase + insert in
 // the secondary within one staged op and can collide on staged addresses
-// (undefined per the paper); erase-then-insert is the supported idiom.
+// (an op the KCAS refuses); erase-then-insert is the supported idiom.
 //
 // getChecked() is the composite's checked read: one op visits the primary
 // search path for k and the secondary path for the found v, then

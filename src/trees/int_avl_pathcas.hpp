@@ -137,7 +137,6 @@ class IntAvlPathCas
         n->ver.load(), 1 + std::max(heightOf(l), heightOf(r))));
   }
   void afterCommit(Chain& chain) { rebalance(chain); }
-  static constexpr bool kRotates = true;
 
   static std::int64_t heightOf(Node* n) {
     return n == nullptr ? 0 : avlHeight(n->ver.load());
@@ -223,13 +222,15 @@ class IntAvlPathCas
       if (isMarked(clV) || isMarked(crV)) continue;
       Node* const inner = left ? cr : cl;  // c's child on n's side
       const Version innerV = left ? crV : clV;
-      const Version outerV = left ? clV : crV;
+      // The heights of c's children and of n's other child, as visited.
+      const Heights h{avlHeight(innerV), avlHeight(left ? clV : crV),
+                      avlHeight(left ? rV : lV)};
       const Seen ps{p, pV, pK}, ns{n, nV, nK}, cs{c, left ? lV : rV, cK};
-      if (avlHeight(innerV) > avlHeight(outerV)) {
+      if (h.inner > h.outer) {
         if (inner == nullptr) continue;
-        if (rotateDouble(ps, ns, cs, inner, innerV, left))
+        if (rotateDouble(ps, ns, cs, inner, innerV, h, left))
           from = afterRotation(chain, inner, {n, c});
-      } else if (rotateSingle(ps, ns, cs, left)) {
+      } else if (rotateSingle(ps, ns, cs, h, left)) {
         from = afterRotation(chain, c, {n});
       }
     }
@@ -289,24 +290,17 @@ class IntAvlPathCas
     return FixResult::kFailure;
   }
 
-  /// True iff the non-null nodes are pairwise distinct. A traversal's reads
-  /// are not one snapshot, so a torn read can name one node in two roles of
-  /// an update. Staging that node's words twice would leave the second old
-  /// value unchecked — phase 1 and validation both accept the op's own
-  /// lock — so every rotation checks the nodes it stages before staging
-  /// anything and retries if they repeat.
-  static bool distinctNodes(std::initializer_list<const Node*> nodes) {
-    for (auto a = nodes.begin(); a != nodes.end(); ++a)
-      for (auto b = a + 1; b != nodes.end(); ++b)
-        if (*a != nullptr && *a == *b) return false;
-    return true;
-  }
-
   /// A node as the walk read it: its version, then its kids word.
   struct Seen {
     Node* n;
     Version ver;
     Kids kids;
+  };
+
+  /// A rotation's heights that the walk visited: c's child on n's side
+  /// (inner), c's other child (outer), and n's child other than c.
+  struct Heights {
+    std::int64_t inner, outer, other;
   };
 
   /// Stage p's relink of its child n to replacement (the walk checked that
@@ -340,17 +334,11 @@ class IntAvlPathCas
   ///      l   r            ll  n
   ///     / \                  / \ .
   ///    ll  lr               lr  r
-  bool rotateSingle(const Seen& p, const Seen& n, const Seen& c, bool left) {
+  bool rotateSingle(const Seen& p, const Seen& n, const Seen& c,
+                    const Heights& h, bool left) {
     Node* const inner = side(c.kids, !left);  // lr
-    if (!distinctNodes({p.n, n.n, c.n})) return false;
-    const std::int64_t innerH = visitHeight(inner);
-    if (innerH < 0) return false;
-    const std::int64_t outerH = visitHeight(side(c.kids, left));  // ll
-    if (outerH < 0) return false;
-    const std::int64_t otherH = visitHeight(side(n.kids, !left));  // r
-    if (otherH < 0) return false;
-    const std::int64_t newNH = 1 + std::max(innerH, otherH);
-    const std::int64_t newCH = 1 + std::max(outerH, newNH);
+    const std::int64_t newNH = 1 + std::max(h.inner, h.other);
+    const std::int64_t newCH = 1 + std::max(h.outer, newNH);
     swingParent(p, n.n, c.n);
     add(n.n->kids, n.kids, withSide(n.kids, left, inner));
     add(c.n->kids, c.kids, withSide(c.kids, !left, n.n));
@@ -362,8 +350,8 @@ class IntAvlPathCas
 
   /// Algorithm 9 (and its mirror): double rotation, fused into one PathCAS,
   /// drawn for left = true (c = l, m = lr, visited at mV). lrl and lrr only
-  /// move, so they are visited, not staged. p, n, c and m each take one
-  /// kids entry; m's takes both its new children.
+  /// move, so they are visited here, not staged. p, n, c and m each take
+  /// one kids entry; m's takes both its new children.
   ///        p                 p
   ///        n                lr
   ///      /   \             /   \ .
@@ -373,21 +361,16 @@ class IntAvlPathCas
   ///      /  \ .
   ///    lrl  lrr
   bool rotateDouble(const Seen& p, const Seen& n, const Seen& c, Node* m,
-                    Version mV, bool left) {
+                    Version mV, const Heights& h, bool left) {
     const Kids mK = m->kids.load();
     Node* const mc = side(mK, left);   // lrl, which moves under c
     Node* const mn = side(mK, !left);  // lrr, which moves under n
-    if (!distinctNodes({p.n, n.n, c.n, m})) return false;
     const std::int64_t mcH = visitHeight(mc);
     if (mcH < 0) return false;
     const std::int64_t mnH = visitHeight(mn);
     if (mnH < 0) return false;
-    const std::int64_t otherH = visitHeight(side(n.kids, !left));  // r
-    if (otherH < 0) return false;
-    const std::int64_t outerH = visitHeight(side(c.kids, left));  // ll
-    if (outerH < 0) return false;
-    const std::int64_t newNH = 1 + std::max(mnH, otherH);
-    const std::int64_t newCH = 1 + std::max(outerH, mcH);
+    const std::int64_t newNH = 1 + std::max(mnH, h.other);
+    const std::int64_t newCH = 1 + std::max(h.outer, mcH);
     const std::int64_t newMH = 1 + std::max(newNH, newCH);
     swingParent(p, n.n, m);
     add(m->kids, mK, withSide(withSide(mK, left, c.n), !left, n.n));

@@ -164,11 +164,10 @@ class IntBstPathCas
       Core::pool_, Core::prefetchKids, Core::relink, Core::search,
       Core::stageBudgetLeft;
 
-  // Core hooks: nothing to record or repair, and nodes never move down.
+  // Core hooks: nothing to record or repair.
   using Chain = NoChain<Node>;
   void afterCommit(Chain&) {}
   static void adopt(Node*, Node*, Node*) {}
-  static constexpr bool kRotates = false;
 
   /// Stage a two-child removal in-batch: the per-op successor swap (erase(),
   /// Algorithm 6), entry for entry. The core calls this from its singleton

@@ -20,10 +20,10 @@
 //       of chain's last node (AVL: the rebalancing walk, which climbs the
 //       chain; BST: nothing);
 //   static adopt(n, l, r) — finish a node of a prebuilt batch subtree whose
-//       children l and r are final (AVL: its height; BST: nothing);
-//   static kRotates — can nodes move between subtrees (AVL: true)? erase()
-//       then checks that a two-child victim is not its own successor, and
-//       the batch walk refuses a node it already touched (firstTouch).
+//       children l and r are final (AVL: its height; BST: nothing).
+// A rotation between two reads can show a traversal one node in two roles;
+// the KCAS refuses an op that then stages that node's words twice, and the
+// update retries like any other failed commit.
 //
 // Structure: two sentinels — maxRoot (key +inf) whose left child is minRoot
 // (key -inf); all real keys live in minRoot's right subtree. Every node
@@ -122,8 +122,7 @@ struct NoChain {
 /// The nodes an update's search stepped through, minRoot first: the
 /// ancestors of the node (or null slot) it stopped at. The AVL's
 /// rebalancing walk climbs them. A search visits at most kMaxVisited nodes,
-/// so no chain holds more. The batch walk also keeps firstTouch's record of
-/// visited nodes in one.
+/// so no chain holds more.
 template <typename Node>
 class AncestorChain {
  public:
@@ -355,10 +354,6 @@ class InternalTreeCore {
             isMarked(su.succPVer)) {
           continue;
         }
-        // A rotation can move curr below its own right subtree between the
-        // reads, so a torn read can name curr its own successor; staging its
-        // version twice is undefined. A BST node never moves down.
-        if (Derived::kRotates && su.succ == curr) continue;
         Node* const succR = childOf(su.succKids, true);
         if (succR != nullptr) {
           const Version succRVer = visit(succR);
@@ -655,11 +650,6 @@ class InternalTreeCore {
     // holds twice) to its repair root: an attach point or the parent of an
     // unlinked node.
     std::vector<Node*> repair{};
-    // firstTouch's record: the nodes this attempt touched (a Chain, whose
-    // bound holds because every touched node was visited; empty on a tree
-    // whose nodes never move), and a 1024-bit filter of their addresses.
-    typename Derived::Chain touched{};
-    std::uint64_t touchedFilter[16] = {};
 
     bool insertOp(std::size_t i) const {
       return isInsert != nullptr ? isInsert[i] : allInsert;
@@ -674,8 +664,6 @@ class InternalTreeCore {
       built.clear();
       unlink.clear();
       repair.clear();
-      touched.clear();
-      if constexpr (Derived::kRotates) std::fill_n(touchedFilter, 16, 0);
     }
   };
 
@@ -757,31 +745,6 @@ class InternalTreeCore {
     sc.clear();
   }
 
-  /// False if this attempt already touched n. Nodes of a tree that rotates
-  /// can move, so a rotation between two of the walk's reads can show it one
-  /// node in two places, and staging that node's words twice is undefined
-  /// (the KCAS accepts its own lock, so the second old value goes
-  /// unchecked); the attempt retries instead. Every node the walk stages
-  /// words of (frames, attach points, unlinked nodes and their parents)
-  /// passes here first. Only a node whose filter bit (the top bits of a
-  /// Fibonacci hash of its address) is already set is looked up in the
-  /// record, so a chunk's check stays near linear in its nodes.
-  static bool firstTouch(BatchScratch& sc, Node* n) {
-    if constexpr (Derived::kRotates) {
-      const auto h = static_cast<std::size_t>(
-          (reinterpret_cast<std::uintptr_t>(n) * 0x9E3779B97F4A7C15ull) >> 54);
-      std::uint64_t& word = sc.touchedFilter[h / 64];
-      const std::uint64_t bit = std::uint64_t{1} << (h % 64);
-      if ((word & bit) != 0 && std::find(sc.touched.begin(), sc.touched.end(),
-                                         n) != sc.touched.end()) {
-        return false;
-      }
-      word |= bit;
-      sc.touched.push(n);
-    }
-    return true;
-  }
-
   /// Stage ops [lo, hi) under `node` (already visited at nodeVer by the
   /// caller). The ops partition around node->key and recurse left and
   /// right, so ops sharing a path prefix share its visit()s. Bottom-up: a
@@ -797,7 +760,7 @@ class InternalTreeCore {
   StageStatus stageBatchNode(Node* node, Version nodeVer, std::size_t lo,
                              std::size_t hi, BatchScratch& sc,
                              EraseFrame& fr) {
-    if (isMarked(nodeVer) || !firstTouch(sc, node)) return StageStatus::kRetry;
+    if (isMarked(nodeVer)) return StageStatus::kRetry;
     const K nodeKey = node->key;
     const std::size_t mid = static_cast<std::size_t>(
         std::lower_bound(sc.keys + lo, sc.keys + hi, nodeKey) - sc.keys);
@@ -916,7 +879,6 @@ class InternalTreeCore {
       Node* const child = childOf(kids, right);
       sc.chain.push(node);
       if (child == nullptr) {
-        if (!firstTouch(sc, node)) return StageStatus::kRetry;
         if (!stageBudgetLeft(dom, 2)) return StageStatus::kOverflow;
         Node* const leaf = pool_.alloc(key, sc.vals[i]);
         sc.built.push_back(leaf);
@@ -956,10 +918,6 @@ class InternalTreeCore {
         Node* const right = childOf(kids, true);
         if (left != nullptr && right != nullptr)
           return self().stageEraseTwoChild(node, nodeVer, kids, i, sc);
-        if (!firstTouch(sc, node) ||
-            (parent != nullptr && !firstTouch(sc, parent))) {
-          return StageStatus::kRetry;
-        }
         Node* const repl = left != nullptr ? left : right;
         if (parent == nullptr) {
           if (!stageBudgetLeft(dom, 2)) return StageStatus::kOverflow;

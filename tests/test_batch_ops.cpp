@@ -309,8 +309,9 @@ TEST(BatchOps, MixedRunTwoChildAndDeferredErase) {
 // One frame whose two partitions both relink it: on {50, 30}, erasing 30
 // and inserting 70 change both children of 50. Both relinks go into 50's
 // one kids word, so the frame stages them as one entry (two entries would
-// stage one address twice, which Debug builds abort on), and the chunk
-// commits at its first attempt: the batch walk reaches 50's frame once.
+// stage one address twice: the KCAS refuses that op, and a Debug build
+// aborts on a repeat no race explains), and the chunk commits at its first
+// attempt: the batch walk reaches 50's frame once.
 template <typename Tree>
 void runBothChildrenRelinkedInOneFrame() {
   Tree t;

@@ -470,11 +470,10 @@ TEST(IntAvlWalk, StaleChainSearchesAgainAndRepairsTheNewParent) {
 // A batch walker (updateBatch: insert 25, erase 40, erase 70) parks at its
 // frame on 50, having read 50's children 30 and 70. This thread inserts 10,
 // and its walk rotates right at 50. The walker resumes at 30 and reaches 40
-// through 30's new right child, 50: unlinking 40 would stage 50's version as
-// 40's parent, and unlinking 70 would stage it again as the frame's own
-// bump. A KCAS may not stage one address twice, so the chunk must retry
-// when it meets 50 a second time, and its second attempt walks from the new
-// root 30.
+// through 30's new right child, 50: unlinking 40 stages 50's version as
+// 40's parent, and unlinking 70 stages it again as the frame's own bump.
+// The KCAS refuses an op that stages one address twice, so the chunk's
+// first commit fails, and its second attempt walks from the new root 30.
 TEST(IntAvlWalk, BatchRetriesWhenARotationShowsItANodeTwice) {
   Avl t;
   for (std::int64_t k : {50, 30, 70, 20, 40}) ASSERT_TRUE(t.insert(k, k));

@@ -1,7 +1,8 @@
 // Tests for the KCAS substrate: word encoding, single- and multi-threaded
 // KCAS semantics, helping via readEncoded, the validation phase at the
 // descriptor level, the staging rule (address order after promotion, first
-// observation of a revisited word, no allocation on the commit path), and
+// observation of a revisited word, no allocation on the commit path, and
+// refusal of an op that names one address two ways), and
 // the degenerate k=1 fast paths (plain-CAS and DCSS-guarded commits) racing
 // descriptor-based operations — including a lin_check.hpp-driven
 // linearizability stress that mixes every commit flavour (fast A, fast B,
@@ -19,6 +20,7 @@
 #include "kcas/kcas.hpp"
 #include "kcas/word.hpp"
 #include "lin_check.hpp"
+#include "pathcas/pathcas.hpp"
 #include "util/rand.hpp"
 #include "util/thread_registry.hpp"
 
@@ -342,6 +344,89 @@ TEST_F(KcasTest, CommitPathDoesNotAllocate) {
   const std::uint64_t calls = tlsNewCalls - before;
   EXPECT_EQ(r, ExecResult::kSucceeded);
   EXPECT_EQ(calls, 0u) << "promoted commit";
+}
+
+// ---------------------------------------------------------------------------
+// The staging rule: an op that names one address two ways fails as
+// kFailedValue before anything is published, and leaves every word as it
+// was (no value changed, no descriptor left behind). Each op below would
+// commit if the KCAS trusted its caller, since phase 1 and validation
+// accept the op's own lock: the second entry's old value, or the path slot
+// that disagrees with the entry on its word, would go unchecked.
+// ---------------------------------------------------------------------------
+
+TEST_F(KcasTest, RepeatedEntryIsRefusedWithinAndPastTheInlineSlots) {
+  // Within the inline slots: a, b, then a again at a stale old value (a
+  // torn view: the first read of a saw 5, the second 4).
+  AtomicWord a, b;
+  store(a, 5);
+  store(b, 1);
+  domain.begin();
+  domain.addEntry(&a, encodeVal(5), encodeVal(6));
+  domain.addEntry(&b, encodeVal(1), encodeVal(2));
+  domain.addEntry(&a, encodeVal(4), encodeVal(7));
+  EXPECT_EQ(domain.execute(false), ExecResult::kFailedValue);
+  EXPECT_EQ(a.load(), encodeVal(5));  // raw: a plain value, no descriptor
+  EXPECT_EQ(b.load(), encodeVal(1));
+  // Past them: ten entries, then w[3] again, appended to the cold slots.
+  constexpr int kWide = 10;
+  AtomicWord w[kWide];
+  for (word_t i = 0; i < kWide; ++i) store(w[i], i);
+  domain.begin();
+  for (word_t i = 0; i < kWide; ++i)
+    domain.addEntry(&w[i], encodeVal(i), encodeVal(100 + i));
+  domain.addEntry(&w[3], encodeVal(99), encodeVal(7));
+  EXPECT_EQ(domain.execute(false), ExecResult::kFailedValue);
+  for (word_t i = 0; i < kWide; ++i) EXPECT_EQ(w[i].load(), encodeVal(i));
+}
+
+TEST_F(KcasTest, PathSlotThatDisagreesWithItsOwnEntryIsRefused) {
+  // A node visited at 100 whose version entry expects the current 102: the
+  // visit is stale, but the op's own lock on the word passes validation.
+  AtomicWord target, ver;
+  const auto stage = [&](bool withTarget) {
+    store(target, 1);
+    store(ver, 102);
+    domain.begin();
+    if (withTarget) domain.addEntry(&target, encodeVal(1), encodeVal(2));
+    domain.addVerEntry(&ver, encodeVal(102), encodeVal(104));
+    domain.addPath(&ver, encodeVal(100));
+  };
+  const auto expectUnchanged = [&](const char* route) {
+    EXPECT_EQ(target.load(), encodeVal(1)) << route;
+    EXPECT_EQ(ver.load(), encodeVal(102)) << route;
+  };
+  stage(true);
+  EXPECT_EQ(domain.execute(true), ExecResult::kFailedValue);
+  expectUnchanged("general path");
+  // The §3.5 strong path: promotion keeps the entry, not the visit.
+  stage(true);
+  domain.promotePathToEntries();
+  EXPECT_EQ(domain.execute(false), ExecResult::kFailedValue);
+  expectUnchanged("promoted");
+  // FAST B (k=1, p=1): the slot aliases the single entry.
+  stage(false);
+  EXPECT_EQ(domain.execute(true), ExecResult::kFailedValue);
+  expectUnchanged("FAST B");
+}
+
+// The emulated HTM route checks each entry's old value against its word and
+// then writes every entry, so a repeat whose old values both hold would
+// commit one of its new values and lose the other. It is refused before any
+// transaction. No race explains this repeat, so a Debug build aborts on it
+// (the loud failure for a caller bug; test_pathcas's StagingDeathTest).
+TEST(KcasStagingRule, EmulatedHtmRouteRefusesARepeatedEntry) {
+  casword<std::int64_t> w;
+  w.setInitial(5);
+  pathcas::start();
+  pathcas::add(w, std::int64_t{5}, std::int64_t{6});
+  pathcas::add(w, std::int64_t{5}, std::int64_t{7});
+#ifdef NDEBUG
+  EXPECT_FALSE(pathcas::execFast());
+  EXPECT_EQ(w.load(), 5);
+#else
+  EXPECT_DEATH(pathcas::execFast(), "staged twice");
+#endif
 }
 
 TEST_F(KcasTest, StagingPreservedAcrossFailedExecute) {

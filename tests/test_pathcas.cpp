@@ -479,6 +479,28 @@ TEST(ReadPathDeathTest, VisitUnderAnotherDomainThanStartAborts) {
       },
       "outside the current domain");
 }
+
+// An op that stages one address twice is refused. When its observations
+// all still hold, no race explains the repeat: the caller staged it in a
+// consistent view and would stage it again on every retry, so a Debug build
+// aborts, naming the address, on the software and the emulated HTM route.
+// A repeat that a race explains (here a visit gone stale) is only refused.
+TEST(StagingDeathTest, ARepeatNoRaceExplainsAborts) {
+  TNode n;
+  n.val.setInitial(10);
+  const auto stageRepeat = [&] {
+    start();
+    visit(&n);
+    add(n.val, std::int64_t{10}, std::int64_t{20});
+    add(n.val, std::int64_t{10}, std::int64_t{30});
+  };
+  EXPECT_DEATH({ stageRepeat(); vexec(); }, "staged twice");
+  EXPECT_DEATH({ stageRepeat(); vexecFast(); }, "staged twice");
+  stageRepeat();
+  n.ver.setInitial(2);  // a concurrent update, as far as the visit can tell
+  EXPECT_FALSE(vexec());
+  EXPECT_EQ(n.val.load(), 10);
+}
 #endif
 
 // ---------------------------------------------------------------------------
